@@ -21,7 +21,8 @@ from .postproc import (ClusterSummary, cluster_summary, dahl_select,
 from .sampler import (ChainOutput, GewekeReport, MixtureState, PriorConstants,
                       SamplerConfig, TuningConstants, effective_pis,
                       geweke_joint_test, gibbs_sweep, load_checkpoint, run_chain,
-                      save_checkpoint, update_mu_i, update_unique_mus)
+                      save_checkpoint, update_mu_i, update_unique_mus,
+                      urn_sweep_terms)
 from .schema import (Dataset, Schema, SchemaError, ValidationReport, VariableSpec,
                      build_schema, continuous_spec, default_cutoffs, nominal_spec,
                      ordinal_spec, validate_dataset)

@@ -15,11 +15,6 @@ import numpy as np
 from scipy.special import gammaln
 
 
-def spd_cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises ``np.linalg.LinAlgError`` if not PD."""
-    return np.linalg.cholesky(m)
-
-
 def chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diag(chol)).sum())
 
@@ -29,7 +24,7 @@ def compose_sigma(sdevs, corr):
     sdevs = np.asarray(sdevs, dtype=float)
     corr = np.asarray(corr, dtype=float)
     sigma = sdevs[:, None] * corr * sdevs[None, :]
-    return sigma, spd_cholesky(sigma)
+    return sigma, np.linalg.cholesky(sigma)
 
 
 def scatter_matrix(z, mu, pis, var_scale: float) -> np.ndarray:
@@ -103,7 +98,7 @@ class CovarianceState:
         inv_chol = np.linalg.inv(self.chol)
         self.sigma_inv = inv_chol.T @ inv_chol
         self.logdet_sigma = chol_logdet(self.chol)
-        corr_chol = spd_cholesky(self.corr)
+        corr_chol = np.linalg.cholesky(self.corr)
         inv_c = np.linalg.inv(corr_chol)
         self.corr_inv = inv_c.T @ inv_c
 
@@ -207,7 +202,7 @@ def correlation_support(corr: np.ndarray, j: int, k: int) -> tuple[float, float]
 
 def _correlation_logpost(corr, sdevs, scatter, n, q):
     """Log target for the correlation matrix; raises LinAlgError if not PD."""
-    chol = spd_cholesky(corr)
+    chol = np.linalg.cholesky(corr)
     logdet = chol_logdet(chol)
     minors = 0.0
     for l in range(q):

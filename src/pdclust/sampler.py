@@ -152,29 +152,42 @@ def _location_posterior(sigma_inv, base_var, prec_scale, zsum):
     return nu, V
 
 
-def _marginal_terms(pi_i, var_scale, cov, base_var, cache):
-    """Inverse and log-determinant of var_scale*pi*sigma + diag(base_var)."""
-    key = float(pi_i)
-    hit = cache.get(key)
-    if hit is None:
-        m = (var_scale * pi_i) * cov.sigma + np.diag(base_var)
-        chol = np.linalg.cholesky(m)
-        inv_chol = np.linalg.inv(chol)
-        hit = (inv_chol.T @ inv_chol, 2.0 * float(np.log(np.diag(chol)).sum()))
-        cache[key] = hit
-    return hit
+def urn_sweep_terms(z, pis, var_scale, cov, base_var):
+    """Per-record terms of the urn weights, for all records at once.
+
+    Returns ``(log_new, log_const)``, each of length n. With
+    ``c_i = var_scale * pi_i``, ``log_new[i]`` is the new-cluster marginal
+    log N(z_i; 0, c_i sigma + diag(base_var)), and ``log_const[i]`` is
+    -(q (log 2 pi + log c_i) + log det sigma) / 2, the normalising constant
+    of the kernel N(z_i; mu_j, c_i sigma) that every existing cluster
+    shares. Each record has its own c_i under design weights, so the
+    new-cluster covariance is factorised once per record, in one batched
+    Cholesky.
+    """
+    q = z.shape[1]
+    c = var_scale * np.asarray(pis, dtype=float)
+    chol = np.linalg.cholesky(c[:, None, None] * cov.sigma + np.diag(base_var))
+    w = np.linalg.solve(chol, z[:, :, None])[:, :, 0]
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_new = -0.5 * (q * _LOG_2PI + logdet) - 0.5 * (w * w).sum(axis=1)
+    log_const = -0.5 * (q * (_LOG_2PI + np.log(c)) + cov.logdet_sigma)
+    return log_new, log_const
 
 
 def update_mu_i(i, latents, mixture, cov, base, hyper, pi_i, var_scale, rng,
-                marg_cache=None):
+                log_new, log_const):
     """Collapsed urn reassignment of record ``i`` (conditional (a)).
 
     Detaches the record, weighs opening a fresh cluster against each
     existing one in log space, and either joins a cluster or draws a new
-    location from its Gaussian posterior.
+    location from its Gaussian posterior. ``log_new`` and ``log_const`` are
+    record ``i``'s entries of :func:`urn_sweep_terms`; they depend only on
+    z_i, pi_i, var_scale, sigma and the base variances, none of which this
+    step changes. What is left per record is the part that depends on the
+    partition: the urn's log weights and the quadratic form of z_i about
+    each cluster location. Raises ``FloatingPointError`` naming the record
+    when its membership weights are not finite.
     """
-    if marg_cache is None:
-        marg_cache = {}
     z_i = latents.z[i]
     q = z_i.shape[0]
 
@@ -185,27 +198,20 @@ def update_mu_i(i, latents, mixture, cov, base, hyper, pi_i, var_scale, rng,
         mixture.remove_cluster(old)
 
     r_i = mixture.r
-    c = var_scale * pi_i
     open_new = r_i == 0
     if not open_new:
         logd = np.empty(r_i + 1)
         diff = mixture.mus - z_i
         t = diff @ cov.sigma_inv
-        quad = (t * diff).sum(axis=1) / c
-        const = -0.5 * (q * (_LOG_2PI + np.log(c)) + cov.logdet_sigma)
-        logd[1:] = np.log(mixture.counts - hyper.discount) + const - 0.5 * quad
-
-        minv, logdet_m = _marginal_terms(pi_i, var_scale, cov, base.base_var, marg_cache)
-        quad0 = float(z_i @ minv @ z_i)
-        logd[0] = (
-            np.log(hyper.strength + hyper.discount * r_i)
-            - 0.5 * (q * _LOG_2PI + logdet_m)
-            - 0.5 * quad0
-        )
+        quad = (t * diff).sum(axis=1) / (var_scale * pi_i)
+        logd[1:] = np.log(mixture.counts - hyper.discount) + log_const - 0.5 * quad
+        logd[0] = np.log(hyper.strength + hyper.discount * r_i) + log_new
 
         p = np.exp(logd - logd.max())
-        p /= p.sum()
-        assert abs(p.sum() - 1.0) <= 1e-10, "membership probabilities not normalized"
+        total = p.sum()
+        if not np.isfinite(total):
+            raise FloatingPointError(f"membership weights of record {i} are not finite")
+        p /= total
         idx = int(np.searchsorted(np.cumsum(p), rng.random()))
         idx = min(idx, r_i)
         open_new = idx == 0
@@ -239,12 +245,19 @@ def update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng):
 
 def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng, *,
                 variance_hastings=True, correlation_hastings=True):
-    """One full pass over conditionals (a) through (h)."""
+    """One full pass over conditionals (a) through (h).
+
+    The urn terms of step (a) that do not depend on the partition (see
+    :func:`urn_sweep_terms`) are computed once before its loop over the
+    records. That is exact: step (a) moves only labels, counts and cluster
+    locations, and leaves the latents, sigma, the base variances,
+    ``var_scale`` and the pis as they were.
+    """
     n, q = latents.z.shape
-    marg_cache: dict = {}
+    log_new, log_const = urn_sweep_terms(latents.z, pis, var_scale, cov, base.base_var)
     for i in range(n):
         update_mu_i(i, latents, mixture, cov, base, hyper, pis[i], var_scale, rng,
-                    marg_cache)
+                    log_new[i], log_const[i])
     update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
 
     base.base_var = update_base_scales(base, mixture.mus, rng).base_var

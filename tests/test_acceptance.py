@@ -20,6 +20,7 @@ import pytest
 from scipy import stats
 
 import pdclust as pc
+from pdclust.cli import PRESETS
 from pdclust.covariance import CovarianceState, update_correlation, update_variance
 from pdclust.postproc import adjacency, dahl_select, expand_variables, hm_measure, \
     similarity
@@ -27,8 +28,6 @@ from pdclust.pdprocess import PDHyper, update_discount, update_strength
 
 BENCH_DATA_SEED = 1
 BENCH_CHAIN_SEED = 2026
-
-PRIOR_CONSTANTS = {"A": (0.1, 0.1), "B": (1.0, 1.0), "C": (2.1, 30.0)}
 
 
 def _report(criterion, ok, details):
@@ -43,12 +42,13 @@ def _run_benchmark(scenario, preset):
         dataset, _ = pc.gen_study2(spec)
     schema = pc.build_schema(pc.scenario_variable_specs(scenario))
     mode, var_scale = pc.scenario_sampler_settings(scenario, dataset.wbar)
-    shape, scale = PRIOR_CONSTANTS[preset]
+    var_shape, var_prior_scale, base_shape, base_prior_scale = PRESETS[preset]
     cfg = pc.SamplerConfig(
         iterations=4700, burnin=200, thinning=3, seed=BENCH_CHAIN_SEED,
         weight_mode=mode, var_scale=var_scale, runtime_checks=True,
-        priors=pc.PriorConstants(var_prior_shape=shape, var_prior_scale=scale,
-                                 base_prior_shape=shape, base_prior_scale=scale),
+        priors=pc.PriorConstants(var_prior_shape=var_shape, var_prior_scale=var_prior_scale,
+                                 base_prior_shape=base_shape,
+                                 base_prior_scale=base_prior_scale),
     )
     out = pc.run_chain(dataset, schema, cfg)
     return dataset, schema, out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from pdclust import (BaseMeasure, Dataset, PDHyper, PriorConstants, SamplerConfig,
                      build_schema, continuous_spec, gen_study1, geweke_joint_test,
@@ -8,7 +9,8 @@ from pdclust import (BaseMeasure, Dataset, PDHyper, PriorConstants, SamplerConfi
 from pdclust.covariance import CovarianceState
 from pdclust.latent import LatentState
 from pdclust.sampler import (MixtureState, _location_posterior, effective_pis,
-                             gibbs_sweep, init_states, update_mu_i, update_unique_mus)
+                             gibbs_sweep, init_states, update_mu_i, update_unique_mus,
+                             urn_sweep_terms)
 from pdclust.simgen import ScenarioSpec
 
 PRIOR_C = PriorConstants(var_prior_shape=2.1, var_prior_scale=30.0,
@@ -29,23 +31,35 @@ def tiny_states(n=6, q=1, seed=0, z=None):
     return latents, mixture, cov, base, hyper, rng
 
 
+def urn_update(i, latents, mixture, cov, base, hyper, pis, var_scale, rng):
+    """One step-(a) reassignment of record ``i``, with the terms gibbs_sweep passes."""
+    log_new, log_const = urn_sweep_terms(latents.z, pis, var_scale, cov, base.base_var)
+    update_mu_i(i, latents, mixture, cov, base, hyper, pis[i], var_scale, rng,
+                log_new[i], log_const[i])
+
+
 class TestMembershipUpdate:
-    def test_new_cluster_probability_closed_form(self):
+    @pytest.mark.parametrize("pi, var_scale", [(1.0, 1.0), (0.4, 1.7)])
+    def test_new_cluster_probability_closed_form(self, pi, var_scale):
         # q=1, unit kernel and base variance, z=0, one other record at the
-        # same location: P(open new) = N(0|0,2)/(N(0|0,2)+N(0|0,1)) = sqrt(2)-1
+        # same location, c = var_scale * pi:
+        # P(open new) = N(0|0,c+1)/(N(0|0,c+1)+N(0|0,c)) = 1/(1+sqrt((c+1)/c)),
+        # which is sqrt(2)-1 at c=1
         z = np.array([[0.0], [0.0]])
         opened = 0
         trials = 40_000
         latents, mixture, cov, base, hyper, rng = tiny_states(z=z)
         base.base_var[:] = 1.0
+        pis = np.full(2, pi)
         for _ in range(trials):
             mixture.labels = np.array([0, 0])
             mixture.mus = np.zeros((1, 1))
             mixture.counts = np.array([2])
-            update_mu_i(0, latents, mixture, cov, base, hyper, 1.0, 1.0, rng)
+            urn_update(0, latents, mixture, cov, base, hyper, pis, var_scale, rng)
             opened += mixture.r == 2
         p0 = opened / trials
-        expected = np.sqrt(2.0) - 1.0
+        c = var_scale * pi
+        expected = 1.0 / (1.0 + np.sqrt((c + 1.0) / c))
         assert abs(p0 - expected) < 3 * np.sqrt(expected * (1 - expected) / trials)
 
     def test_single_record_always_opens_cluster(self):
@@ -54,15 +68,42 @@ class TestMembershipUpdate:
         # must not evaluate log(strength)
         hyper.discount, hyper.strength = 0.5, -0.25
         for _ in range(20):
-            update_mu_i(0, latents, mixture, cov, base, hyper, 1.0, 1.0, rng)
+            urn_update(0, latents, mixture, cov, base, hyper, np.ones(1), 1.0, rng)
             assert mixture.r == 1 and mixture.counts.sum() == 1
 
     def test_count_conservation_over_many_updates(self):
         latents, mixture, cov, base, hyper, rng = tiny_states(n=25, q=2, seed=3)
         for sweep in range(30):
             for i in range(25):
-                update_mu_i(i, latents, mixture, cov, base, hyper, 1.0, 1.0, rng)
+                urn_update(i, latents, mixture, cov, base, hyper, np.ones(25), 1.0, rng)
                 mixture.check(25)
+
+    def test_non_finite_weights_raise_naming_the_record(self):
+        latents, mixture, cov, base, hyper, rng = tiny_states(n=5, q=2, seed=4)
+        # the cluster locations stay finite, so records 0 and 1 update normally
+        latents.z[2] = np.nan
+        with pytest.raises(FloatingPointError, match="record 2"):
+            gibbs_sweep(latents, mixture, cov, base, hyper, 1.0, np.ones(5), rng)
+
+
+def test_urn_sweep_terms_match_scipy_densities():
+    rng = np.random.default_rng(12)
+    n, q, var_scale = 7, 3, 1.3
+    corr = np.array([[1.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+    cov = CovarianceState(sdevs=[0.7, 1.5, 1.1], corr=corr, free=[True] * 3)
+    base_var = np.array([2.0, 0.5, 3.5])
+    pis = rng.uniform(0.2, 1.0, n)
+    assert len(np.unique(pis)) == n
+    z = 2.0 * rng.standard_normal((n, q))
+    log_new, log_const = urn_sweep_terms(z, pis, var_scale, cov, base_var)
+    for i in range(n):
+        c = var_scale * pis[i]
+        expected_new = stats.multivariate_normal.logpdf(
+            z[i], np.zeros(q), c * cov.sigma + np.diag(base_var))
+        assert abs(log_new[i] - expected_new) < 1e-10
+        # log_const is the kernel density at the cluster location itself
+        expected_const = stats.multivariate_normal.logpdf(z[i], z[i], c * cov.sigma)
+        assert abs(log_const[i] - expected_const) < 1e-10
 
 
 class TestLocationPosterior:
