@@ -8,10 +8,9 @@ records' sampling probabilities so complex-survey weights enter the model.
 
 __version__ = "0.1.0"
 
-from .latent import (LatentState, TransformSpec, TruncationRegion,
-                     conditional_moments, decode_nominal, decode_ordinal,
-                     fit_transforms, initial_latents, resample_latents,
-                     sample_truncated_normal, transform_continuous)
+from .latent import (LatentState, TransformSpec, conditional_moments,
+                     decode_nominal, decode_ordinal, fit_transforms,
+                     initial_latents, resample_latents, transform_continuous)
 from .pdprocess import (BaseMeasure, PDHyper, eppf_log, update_base_scales,
                         update_discount, update_strength, urn_weights)
 from .covariance import (CovarianceState, compose_sigma, correlation_support,

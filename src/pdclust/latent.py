@@ -53,7 +53,7 @@ class TransformSpec:
         """Realise the shift from a data column (no-op for identity)."""
         if self.kind == IDENTITY:
             return self
-        shift = float(np.quantile(np.asarray(values, dtype=float), self.shift_quantile))
+        shift = linear_quantile(np.asarray(values, dtype=float), self.shift_quantile)
         fitted = replace(self, shift=shift)
         fitted.apply(values)  # fail fast if the shift cannot make y + shift > 0
         return fitted
@@ -68,6 +68,27 @@ class TransformSpec:
             raise ValueError("log-shift argument must be positive for all records")
         out = np.log(arg)
         return out if np.ndim(y) else float(out)
+
+
+def linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a 1-D float column, bit for bit.
+
+    Linear interpolation between order statistics (Hyndman and Fan's
+    type 7), written out with numpy's own arithmetic: the interpolation
+    runs from the lower neighbour below a fraction of 0.5 and from the
+    upper one at or above it, and any NaN gives NaN. ``np.quantile``'s
+    per-call dispatch costs more than the sort at survey sizes, and
+    ``summarize`` refits the shift on every call.
+    """
+    x = np.sort(values)
+    if np.isnan(x[-1]):
+        return float("nan")
+    h = (x.size - 1) * q
+    lo = int(h)
+    g = h - lo
+    a, b = float(x[lo]), float(x[min(lo + 1, x.size - 1)])
+    diff = b - a
+    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
 
 
 def transform_continuous(y, spec: TransformSpec | None):
@@ -112,18 +133,6 @@ def decode_nominal_rows(zblock: np.ndarray) -> np.ndarray:
     cat = np.argmax(zblock, axis=1)
     cat[zblock.max(axis=1) < 0] = zblock.shape[1]
     return cat
-
-
-@dataclass(frozen=True)
-class TruncationRegion:
-    """Open/half-open interval a latent coordinate is confined to."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(f"empty truncation region ({self.lower}, {self.upper})")
 
 
 def conditional_moments(sigma, mu, z, coord: int, scale: float):
@@ -217,17 +226,6 @@ def _truncated_normal_std(rng, a, b):
         fallback = np.where(near_lower, a + eps, b - eps)
         x = np.where(degenerate, fallback, x)
     return x
-
-
-def sample_truncated_normal(mean: float, var: float, region: TruncationRegion, rng) -> float:
-    """One draw from N(mean, var) restricted to ``region``."""
-    if var <= 0:
-        raise ValueError("variance must be positive")
-    draws = sample_truncated_normal_many(
-        np.array([mean]), np.array([var]),
-        np.array([region.lower]), np.array([region.upper]), rng,
-    )
-    return float(draws[0])
 
 
 def sample_truncated_normal_many(mean, var, lower, upper, rng) -> np.ndarray:

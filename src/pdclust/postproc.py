@@ -20,24 +20,55 @@ def relabel(labels) -> np.ndarray:
     return order[inverse].astype(np.int32)
 
 
-def adjacency(labels) -> np.ndarray:
-    """Boolean co-membership matrix of one partition."""
-    labels = np.asarray(labels)
-    return labels[:, None] == labels[None, :]
+#: Stored partitions scored per indicator matrix, and rows per product stripe
+#: added into the similarity accumulator.
+_BLOCK = 64
+_STRIPE = 128
+
+
+def _indicator_blocks(partitions):
+    """Cluster-indicator matrices of the stored partitions, about 64 at a time.
+
+    Yields ``(rows, Z, owner)`` where ``rows`` is the slice of partitions in
+    the block, ``Z`` an (n, c) float64 0/1 matrix with one column per cluster
+    of each of them (ordered by partition, then label) and ``owner[c]`` the
+    block-local row of column ``c``. Labels are any integers; each row is
+    coded on its own.
+    """
+    n = partitions.shape[1]
+    for start in range(0, partitions.shape[0], _BLOCK):
+        block = partitions[start:start + _BLOCK].astype(np.int64)
+        labels = block - block.min(axis=1, keepdims=True)
+        if labels.max() >= n:  # sparse labels: rank them within the block first
+            labels = np.unique(block, return_inverse=True)[1].reshape(block.shape)
+        span = int(labels.max()) + 1
+        keys = labels + span * np.arange(len(block))[:, None]
+        present = np.zeros(len(block) * span, dtype=bool)
+        present[keys] = True
+        column = np.cumsum(present) - 1
+        Z = np.zeros((n, int(present.sum())))
+        Z[np.arange(n), column[keys]] = 1.0
+        yield slice(start, start + len(block)), Z, np.flatnonzero(present) // span
 
 
 def similarity(partitions) -> np.ndarray:
     """Average co-clustering frequency over stored partitions.
 
-    Streams over partitions so only one n x n accumulator is live.
+    Adds the exact integer co-clustering counts ``Z Z^T`` of each block into
+    one n x n accumulator, a stripe of rows at a time and only on and above
+    the diagonal, then mirrors the lower triangle and divides by the number
+    of partitions.
     """
     partitions = np.asarray(partitions)
     if partitions.ndim != 2 or partitions.shape[0] < 1:
         raise ValueError("need at least one partition of equal length")
     n = partitions.shape[1]
     acc = np.zeros((n, n))
-    for row in partitions:
-        acc += adjacency(row)
+    for _, Z, _ in _indicator_blocks(partitions):
+        for i in range(0, n, _STRIPE):
+            acc[i:i + _STRIPE, i:] += Z[i:i + _STRIPE] @ Z[i:].T
+    for i in range(_STRIPE, n, _STRIPE):
+        acc[i:i + _STRIPE, :i] = acc[:i, i:i + _STRIPE].T
     acc /= partitions.shape[0]
     return acc
 
@@ -45,29 +76,70 @@ def similarity(partitions) -> np.ndarray:
 def dahl_select(partitions, sim: np.ndarray) -> tuple[np.ndarray, float]:
     """Stored partition whose adjacency is closest to the average similarity.
 
-    Returns ``(labels, squared distance)``; ties break to the earliest
-    iteration. The result is always one of the stored partitions.
+    ``sim`` must be ``similarity(partitions)``. Returns
+    ``(labels, squared distance)``; ties break to the earliest iteration.
+    The result is always one of the stored partitions.
+
+    With ``C = T * sim`` the integer co-clustering counts over the T stored
+    partitions, the squared distance of partition t is ``D_t / T + sum(sim**2)``
+    where ``D_t = T sum_k n_k**2 - 2 sum_k 1_k' C 1_k`` is an exact integer:
+    the row sums of ``C`` over each cluster are rounded from ``T * sim @ Z``,
+    whose rounding error is far below 1/2 while ``n**2 T`` stays below 1e15.
+    Comparing the exact ``D_t`` makes ties exact.
     """
     partitions = np.asarray(partitions)
     if partitions.shape[1] != sim.shape[0]:
         raise ValueError("partition length does not match similarity matrix")
-    best_idx, best_dist = 0, np.inf
-    for idx, row in enumerate(partitions):
-        dist = float(((adjacency(row) - sim) ** 2).sum())
-        if dist < best_dist:
-            best_idx, best_dist = idx, dist
-    return partitions[best_idx].copy(), best_dist
+    T, n = partitions.shape
+    dist = np.empty(T)
+    for rows, Z, owner in _indicator_blocks(partitions):
+        within = np.zeros(Z.shape[1])
+        for i in range(0, n, _STRIPE):
+            j = i + _STRIPE
+            # record pairs inside the diagonal block count once; those right
+            # of it also stand for their mirror images below the diagonal
+            for cols, factor in ((slice(i, j), 1.0), (slice(j, n), 2.0)):
+                counts = sim[i:j, cols] @ Z[cols]
+                counts *= T
+                np.rint(counts, out=counts)
+                within += factor * np.einsum("ic,ic->c", counts, Z[i:j])
+        sizes = Z.sum(axis=0)
+        dist[rows] = np.bincount(owner, T * sizes * sizes - 2.0 * within)
+    best = int(np.argmin(dist))
+    return partitions[best].copy(), float(dist[best] / T + np.vdot(sim, sim))
+
+
+def _hm_scores(partitions, expanded, weights) -> np.ndarray:
+    """Heterogeneity measure of every stored partition (see :func:`hm_measure`).
+
+    Per block, the weight-normalised indicator ``Zw`` (entry ``w_i / W_k``
+    for member i of cluster k) gives the within-cluster weighted moments
+    ``Zw^T X`` and ``Zw^T X**2`` of all clusters at once.
+    """
+    expanded = np.asarray(expanded, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    squared = expanded * expanded
+    scores = np.empty(partitions.shape[0])
+    for rows, Z, owner in _indicator_blocks(partitions):
+        sizes = Z.sum(axis=0)
+        Z *= weights[:, None]  # Z becomes Zw in place
+        Z /= Z.sum(axis=0)
+        m1 = Z.T @ expanded
+        m2 = Z.T @ squared
+        per_cluster = sizes * (m2 - m1 * m1).sum(axis=1)
+        scores[rows] = np.bincount(owner, per_cluster)
+    return scores
 
 
 def min_hm_select(partitions, expanded, weights) -> tuple[np.ndarray, float]:
-    """Stored partition with the smallest heterogeneity measure."""
+    """Stored partition with the smallest heterogeneity measure.
+
+    Ties break to the earliest iteration.
+    """
     partitions = np.asarray(partitions)
-    best_idx, best_hm = 0, np.inf
-    for idx, row in enumerate(partitions):
-        hm = hm_measure(row, expanded, weights)
-        if hm < best_hm:
-            best_idx, best_hm = idx, hm
-    return partitions[best_idx].copy(), best_hm
+    scores = _hm_scores(partitions, expanded, weights)
+    best = int(np.argmin(scores))
+    return partitions[best].copy(), float(scores[best])
 
 
 def expand_variables(dataset: Dataset, schema: Schema) -> np.ndarray:
@@ -106,19 +178,7 @@ def hm_measure(partition, expanded, weights) -> float:
     of column ``j`` inside cluster ``k`` (weights renormalized within the
     cluster). All-singleton partitions give exactly zero.
     """
-    partition = np.asarray(partition)
-    expanded = np.asarray(expanded, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    total = 0.0
-    for lbl in np.unique(partition):
-        members = partition == lbl
-        w = weights[members]
-        w = w / w.sum()
-        y = expanded[members]
-        m1 = w @ y
-        m2 = w @ (y * y)
-        total += members.sum() * float((m2 - m1 * m1).sum())
-    return total
+    return float(_hm_scores(np.asarray(partition)[None, :], expanded, weights)[0])
 
 
 @dataclass
@@ -137,7 +197,7 @@ class ClusterSummary:
 
     def to_lines(self, fmt: str = "%.6g") -> list[str]:
         out = [",".join(["group"] + self.header)]
-        for cid, row in zip(self.cluster_ids, self.rows):
+        for cid, row in zip(self.cluster_ids, self.rows.tolist()):
             out.append(",".join([cid] + [fmt % x for x in row]))
         return out
 

@@ -22,12 +22,17 @@ from scipy import stats
 import pdclust as pc
 from pdclust.cli import PRESETS
 from pdclust.covariance import CovarianceState, update_correlation, update_variance
-from pdclust.postproc import adjacency, dahl_select, expand_variables, hm_measure, \
-    similarity
+from pdclust.postproc import dahl_select, expand_variables, hm_measure, similarity
 from pdclust.pdprocess import PDHyper, update_discount, update_strength
 
 BENCH_DATA_SEED = 1
 BENCH_CHAIN_SEED = 2026
+
+
+def adjacency(labels):
+    """Reference co-membership matrix of one partition."""
+    labels = np.asarray(labels)
+    return labels[:, None] == labels[None, :]
 
 
 def _report(criterion, ok, details):

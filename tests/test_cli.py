@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from pdclust.cli import (CliError, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS
                          run_command, summarize_command, _build_run_config)
 from pdclust.dataio import (DataFormatError, read_data_csv, read_schema_file,
                             read_similarity_binary, write_data_csv,
-                            write_schema_file, write_similarity_binary)
+                            write_schema_file, write_similarity_binary,
+                            write_text_output)
 from pdclust.latent import TransformSpec
 from pdclust.schema import continuous_spec, nominal_spec, ordinal_spec
 
@@ -85,6 +87,21 @@ class TestDataCsv:
         with pytest.raises(DataFormatError):
             read_data_csv(path, [continuous_spec("a")], skipped=["b"])
 
+    @pytest.mark.parametrize("text", ["", "a,w\n", "a,w\n\n", "a,w\n1.0,x\n",
+                                      "a,w\n1.0,2.0\n3.0\n", "a,w\n1.0,#2\n"])
+    def test_bad_files_raise(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError):
+            read_data_csv(path, [continuous_spec("a")], weight_column="w")
+
+    def test_skipped_text_column_blank_lines_and_quotes(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('id,a,w\n"h, 1","0.1",2\n\nh-2,1e-3,4.5\n')
+        ds = read_data_csv(path, [continuous_spec("a")], weight_column="w", skipped=["id"])
+        assert ds.values.tolist() == [[0.1], [1e-3]]
+        assert ds.weights.tolist() == [2.0, 4.5]
+
 
 def test_similarity_binary_round_trip(tmp_path):
     sim = np.random.default_rng(1).uniform(size=(7, 7))
@@ -93,6 +110,27 @@ def test_similarity_binary_round_trip(tmp_path):
     path = tmp_path / "sim.bin"
     write_similarity_binary(path, sim)
     assert np.array_equal(read_similarity_binary(path), sim)
+
+
+def test_rewrites_leave_no_trace_of_a_longer_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text_output(path, "x" * 100)
+    write_text_output(path, "record,cluster\n0,1\n")
+    assert path.read_text() == "record,cluster\n0,1\n"
+    sim = np.eye(3)
+    path = tmp_path / "sim.bin"
+    write_similarity_binary(path, np.eye(6))
+    write_similarity_binary(path, sim)
+    assert path.stat().st_size == 16 + 8 * 9
+    assert np.array_equal(read_similarity_binary(path), sim)
+
+
+def test_similarity_binary_layout(tmp_path):
+    sim = np.random.default_rng(2).uniform(size=(5, 5))
+    path = tmp_path / "sim.bin"
+    write_similarity_binary(path, sim)
+    assert path.read_bytes() == (b"PDCSIM1\x00" + struct.pack("<Q", 5)
+                                 + sim.astype("<f8").tobytes())
 
 
 class TestConfig:
@@ -282,6 +320,20 @@ class TestVerbs:
         # dahl re-summarize restores the original bytes
         summarize_command(str(tmp / "out"), selection="dahl")
         assert (tmp / "out" / "summary.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("selection", ["dahl", "min-hm"])
+    def test_summarize_rejects_partition_width_mismatch(self, scenario_files,
+                                                        selection, capsys):
+        tmp, ds, _ = scenario_files
+        run_command(small_run_config(tmp))
+        path = tmp / "out" / "partitions.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        code = main(["summarize", "--run", str(tmp / "out"), "--selection", selection])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "partitions.csv" in err
+        assert f"{ds.n - 1} records" in err and f"has {ds.n}" in err
 
     def test_dataset_round_trip_through_cli_formats(self, tmp_path):
         ds, _ = gen_study1(ScenarioSpec("III", seed=11))

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from pdclust import (Dataset, build_schema, cluster_summary, continuous_spec,
                      dahl_select, expand_variables, hm_measure, min_hm_select,
                      nominal_spec, ordinal_spec, similarity)
-from pdclust.postproc import adjacency, relabel
+from pdclust.postproc import relabel
+
+
+def adjacency(labels):
+    """Reference co-membership matrix of one partition."""
+    labels = np.asarray(labels)
+    return labels[:, None] == labels[None, :]
 
 
 def hm_double_loop(partition, expanded, weights):
@@ -51,6 +57,19 @@ class TestSimilarity:
         assert np.all((target - sim1) * (target - sim0) >= 0)
         assert np.all(np.abs(target - sim1) <= np.abs(target - sim0) + 1e-15)
 
+    @pytest.mark.parametrize("kept, n, labels", [
+        (67, 13, range(4)),
+        (70, 300, range(6)),
+        (1, 13, range(4)),
+        (67, 13, [-7, -1, 3, 40]),
+        (5, 6, [-10**12, 0, 10**12]),
+    ])
+    def test_equals_mean_of_adjacency_matrices(self, kept, n, labels):
+        rng = np.random.default_rng(kept + n)
+        parts = rng.choice(np.array(list(labels)), size=(kept, n))
+        mean = sum(adjacency(p).astype(float) for p in parts) / kept
+        assert np.array_equal(similarity(parts), mean)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             similarity(np.empty((0, 4), dtype=int))
@@ -83,6 +102,29 @@ class TestDahlSelect:
         parts = np.array([[0, 0, 1], [0, 0, 1]])
         chosen, _ = dahl_select(parts, similarity(parts))
         assert np.array_equal(chosen, parts[0])
+
+    @pytest.mark.parametrize("parts", [[[0, 0, 1], [0, 1, 1]],
+                                       [[0, 1, 1], [0, 0, 1]]])
+    def test_tie_between_distinct_partitions_breaks_to_earliest(self, parts):
+        parts = np.array(parts)
+        sim = similarity(parts)
+        dists = [((adjacency(p) - sim) ** 2).sum() for p in parts]
+        assert dists[0] == dists[1]
+        chosen, _ = dahl_select(parts, sim)
+        assert np.array_equal(chosen, parts[0])
+
+    @pytest.mark.parametrize("kept, n", [(67, 13), (1, 9), (150, 300)])
+    def test_matches_exact_brute_force(self, kept, n):
+        rng = np.random.default_rng(kept * n)
+        parts = rng.integers(0, 3, size=(kept, n)) * 5 - 4
+        counts = sum(adjacency(p).astype(np.int64) for p in parts)
+        # kept**2 times the squared distance, in exact integer arithmetic
+        scaled = [int(((kept * adjacency(p) - counts) ** 2).sum()) for p in parts]
+        sim = similarity(parts)
+        chosen, dist = dahl_select(parts, sim)
+        best = int(np.argmin(scaled))
+        assert np.array_equal(chosen, parts[best])
+        assert abs(dist - ((adjacency(parts[best]) - sim) ** 2).sum()) < 1e-9
 
     def test_result_is_member_of_stored_set(self):
         rng = np.random.default_rng(3)
@@ -154,6 +196,19 @@ class TestHmMeasure:
         partition = np.array([0, 0, 1, 1])
         assert abs(hm_measure(partition, expanded, weights)
                    - hm_double_loop(partition, expanded, weights)) < 1e-12
+
+    def test_min_hm_select_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        n = 11
+        expanded = rng.standard_normal((n, 3))
+        weights = rng.uniform(0.5, 3.0, n)
+        parts = rng.choice([-3, 2, 9, 40], size=(70, n))
+        slow = [hm_double_loop(p, expanded, weights) for p in parts]
+        for p, ref in zip(parts, slow):
+            assert abs(hm_measure(p, expanded, weights) - ref) < 1e-12
+        chosen, best = min_hm_select(parts, expanded, weights)
+        assert np.array_equal(chosen, parts[int(np.argmin(slow))])
+        assert abs(best - min(slow)) < 1e-12
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
