@@ -19,6 +19,12 @@ def chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
+def _correlation_factor(corr):
+    """``(L^-1, log det corr)`` for corr = L L'; raises LinAlgError if not PD."""
+    chol = np.linalg.cholesky(corr)
+    return np.linalg.inv(chol), chol_logdet(chol)
+
+
 def compose_sigma(sdevs, corr):
     """Build sigma = diag(sdevs) corr diag(sdevs) and its Cholesky factor."""
     sdevs = np.asarray(sdevs, dtype=float)
@@ -47,8 +53,9 @@ class CovarianceState:
 
     ``sdevs`` holds the per-coordinate standard deviations (exactly 1.0 on
     fixed coordinates), ``corr`` the correlation matrix. The caches
-    (``sigma``, ``chol``, ``sigma_inv``, ``corr_inv``, ``logdet_sigma``)
-    are refreshed after every accepted move.
+    (``sigma``, ``chol``, ``sigma_inv``, ``logdet_sigma``, and
+    ``corr_inv_chol``, ``corr_logdet``, ``corr_inv`` of ``corr``) are
+    refreshed after every accepted move.
     """
 
     sdevs: np.ndarray
@@ -61,6 +68,8 @@ class CovarianceState:
     sigma: np.ndarray = field(init=False)
     chol: np.ndarray = field(init=False)
     sigma_inv: np.ndarray = field(init=False)
+    corr_inv_chol: np.ndarray = field(init=False)
+    corr_logdet: float = field(init=False)
     corr_inv: np.ndarray = field(init=False)
     logdet_sigma: float = field(init=False)
 
@@ -98,9 +107,8 @@ class CovarianceState:
         inv_chol = np.linalg.inv(self.chol)
         self.sigma_inv = inv_chol.T @ inv_chol
         self.logdet_sigma = chol_logdet(self.chol)
-        corr_chol = np.linalg.cholesky(self.corr)
-        inv_c = np.linalg.inv(corr_chol)
-        self.corr_inv = inv_c.T @ inv_c
+        self.corr_inv_chol, self.corr_logdet = _correlation_factor(self.corr)
+        self.corr_inv = self.corr_inv_chol.T @ self.corr_inv_chol
 
     def check(self):
         assert np.array_equal(self.sdevs[~self.free], np.ones((~self.free).sum())), (
@@ -200,22 +208,19 @@ def correlation_support(corr: np.ndarray, j: int, k: int) -> tuple[float, float]
     return float(lo), float(hi)
 
 
-def _correlation_logpost(corr, sdevs, scatter, n, q):
-    """Log target for the correlation matrix; raises LinAlgError if not PD."""
-    chol = np.linalg.cholesky(corr)
-    logdet = chol_logdet(chol)
-    minors = 0.0
-    for l in range(q):
-        keep = np.arange(q) != l
-        sign, val = np.linalg.slogdet(corr[np.ix_(keep, keep)])
-        if sign <= 0:
-            raise np.linalg.LinAlgError("principal minor not positive")
-        minors += val
+def _correlation_logpost(factor, sdevs, scatter, n, q):
+    """Log target for the correlation matrix R, given ``_correlation_factor(R)``.
+
+    Each principal minor is det R_{-l} = det R * (R^-1)_ll, and
+    (R^-1)_ll is the column sum of (L^-1)^2; tr(R^-1 a) is the entrywise
+    sum of (L^-1 a) * L^-1.
+    """
+    inv_chol, logdet = factor
+    minors = q * logdet + float(np.log((inv_chol * inv_chol).sum(axis=0)).sum())
     post = -0.5 * (q + 1.0) * minors - 0.5 * (n + 2.0 - q * (q - 1.0)) * logdet
-    if scatter is not None and np.any(scatter):
-        a = scatter / np.outer(sdevs, sdevs)
-        w = np.linalg.solve(corr, a)
-        post -= 0.5 * float(np.trace(w))
+    if scatter is not None and scatter.any():
+        a = scatter / (sdevs[:, None] * sdevs)
+        post -= 0.5 * float(((inv_chol @ a) * inv_chol).sum())
     return post
 
 
@@ -225,7 +230,8 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
 
     The proposal window is the PD support shrunk to ``length/corr_window_frac``
     on each side of the current value; the Hastings term corrects for the
-    position-dependent window.
+    position-dependent window. The current matrix is scored from the
+    factor cached on ``state``; only the candidate is factorised.
     """
     if j >= k:
         raise ValueError("update upper-triangle entries only (j < k)")
@@ -244,8 +250,9 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     cand_corr[j, k] = cand_corr[k, j] = cand
     try:
         log_ratio = (
-            _correlation_logpost(cand_corr, state.sdevs, scatter, n, q)
-            - _correlation_logpost(state.corr, state.sdevs, scatter, n, q)
+            _correlation_logpost(_correlation_factor(cand_corr), state.sdevs, scatter, n, q)
+            - _correlation_logpost((state.corr_inv_chol, state.corr_logdet),
+                                   state.sdevs, scatter, n, q)
         )
     except np.linalg.LinAlgError:
         return False

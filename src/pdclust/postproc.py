@@ -12,14 +12,6 @@ from .schema import CONTINUOUS, Dataset, Schema
 logger = logging.getLogger(__name__)
 
 
-def relabel(labels) -> np.ndarray:
-    """Contiguous 0..r-1 relabelling by order of first appearance."""
-    labels = np.asarray(labels)
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first))
-    return order[inverse].astype(np.int32)
-
-
 #: Stored partitions scored per indicator matrix, and rows per product stripe
 #: added into the similarity accumulator.
 _BLOCK = 64

@@ -11,6 +11,7 @@ locations right after the memberships change.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -202,17 +203,16 @@ def update_mu_i(i, latents, mixture, cov, base, hyper, pi_i, var_scale, rng,
     if not open_new:
         logd = np.empty(r_i + 1)
         diff = mixture.mus - z_i
-        t = diff @ cov.sigma_inv
-        quad = (t * diff).sum(axis=1) / (var_scale * pi_i)
+        quad = ((diff @ cov.sigma_inv) * diff).sum(axis=1) / (var_scale * pi_i)
         logd[1:] = np.log(mixture.counts - hyper.discount) + log_const - 0.5 * quad
         logd[0] = np.log(hyper.strength + hyper.discount * r_i) + log_new
 
         p = np.exp(logd - logd.max())
         total = p.sum()
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise FloatingPointError(f"membership weights of record {i} are not finite")
         p /= total
-        idx = int(np.searchsorted(np.cumsum(p), rng.random()))
+        idx = int(p.cumsum().searchsorted(rng.random()))
         idx = min(idx, r_i)
         open_new = idx == 0
 
@@ -357,7 +357,8 @@ def run_chain(dataset: Dataset, schema: Schema, config: SamplerConfig) -> ChainO
                 cov.check()
                 latents.check_consistent()
 
-    assert stored == kept
+    if stored != kept:
+        raise RuntimeError(f"chain stored {stored} partitions but the config keeps {kept}")
     return ChainOutput(
         partitions=partitions,
         trace_discount=trace_discount,

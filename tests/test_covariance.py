@@ -3,8 +3,9 @@ import pytest
 from scipy import stats
 
 from pdclust import CovarianceState, compose_sigma, correlation_support, scatter_matrix
-from pdclust.covariance import (_gamma_logpdf_shape_scale, update_correlation,
-                                update_variance)
+from pdclust.covariance import (_correlation_factor, _correlation_logpost,
+                                _gamma_logpdf_shape_scale, chol_logdet,
+                                update_correlation, update_variance)
 
 
 class TestScatterMatrix:
@@ -143,6 +144,52 @@ class TestCorrelationSupport:
         assert np.all(dets[~inside & (np.abs(grid) < 1 - 1e-12)] <= 1e-9)
 
 
+def reference_correlation_logpost(corr, sdevs, scatter, n, q):
+    """The correlation log target from q principal-minor slogdets and a solve."""
+    logdet = chol_logdet(np.linalg.cholesky(corr))
+    minors = 0.0
+    for l in range(q):
+        keep = np.arange(q) != l
+        sign, val = np.linalg.slogdet(corr[np.ix_(keep, keep)])
+        assert sign > 0
+        minors += val
+    post = -0.5 * (q + 1.0) * minors - 0.5 * (n + 2.0 - q * (q - 1.0)) * logdet
+    if scatter is not None and np.any(scatter):
+        a = scatter / np.outer(sdevs, sdevs)
+        post -= 0.5 * float(np.trace(np.linalg.solve(corr, a)))
+    return post
+
+
+class TestCorrelationLogpost:
+    @pytest.mark.parametrize("q", range(2, 7))
+    @pytest.mark.parametrize("case", ["none", "zeros", "scatter"])
+    def test_matches_minor_and_solve_formula(self, q, case):
+        rng = np.random.default_rng(100 + q)
+        corr = random_correlation(q, q)
+        sdevs = np.ones(q)
+        scatter = None
+        if case == "zeros":
+            scatter = np.zeros((q, q))
+        elif case == "scatter":
+            sdevs = rng.uniform(0.4, 2.5, q)
+            z = rng.standard_normal((50, q)) * sdevs
+            scatter = scatter_matrix(z, np.zeros_like(z), rng.uniform(0.2, 1.0, 50), 1.3)
+        new = _correlation_logpost(_correlation_factor(corr), sdevs, scatter, 50, q)
+        ref = reference_correlation_logpost(corr, sdevs, scatter, 50, q)
+        assert new == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_non_pd_matrix_raises(self):
+        bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _correlation_factor(bad)
+
+
+def assert_cached_factor_is_fresh(state):
+    inv_chol, logdet = _correlation_factor(state.corr)
+    assert np.array_equal(state.corr_inv_chol, inv_chol)
+    assert state.corr_logdet == logdet
+
+
 class TestCorrelationUpdate:
     def test_rejects_lower_triangle_call(self):
         state = CovarianceState.create([True, True], 2.0, 2.0)
@@ -180,6 +227,45 @@ class TestCorrelationUpdate:
             state.check()
             assert np.all(np.isfinite(np.linalg.cholesky(state.corr)))
         assert accepted > 100  # the chain actually moves
+
+    def test_cached_factor_is_fresh_after_accepted_moves(self):
+        rng = np.random.default_rng(15)
+        state = CovarianceState(sdevs=[1.3, 0.8, 1.0], corr=random_correlation(3, 7),
+                                free=[True] * 3)
+        z = rng.standard_normal((40, 3)) @ random_correlation(3, 8)
+        scatter = scatter_matrix(z, np.zeros_like(z), np.ones(40), 1.0)
+        accepted = 0
+        for _ in range(30):
+            for j, k in ((0, 1), (0, 2), (1, 2)):
+                accepted += update_correlation(state, j, k, scatter, 40, rng)
+                assert_cached_factor_is_fresh(state)
+        assert accepted > 0
+
+    def test_cached_factor_is_fresh_after_backed_out_move(self, monkeypatch):
+        # the first refresh after an accepted proposal moves every cache to
+        # the candidate and then fails, as a numerically non-PD sigma would
+        state = CovarianceState(sdevs=[1.3, 0.8, 1.0], corr=random_correlation(3, 7),
+                                free=[True] * 3)
+        refresh = CovarianceState.refresh
+        failed = []
+
+        def refresh_then_fail(self):
+            refresh(self)
+            if not failed:
+                failed.append(self.corr.copy())
+                raise np.linalg.LinAlgError("simulated non-PD refresh")
+
+        monkeypatch.setattr(CovarianceState, "refresh", refresh_then_fail)
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            before = state.corr.copy()
+            moved = update_correlation(state, 0, 2, None, 0, rng)
+            if failed:
+                break
+        assert failed and not moved
+        assert not np.array_equal(failed[0], before)
+        assert np.array_equal(state.corr, before)
+        assert_cached_factor_is_fresh(state)
 
 
 def test_fixed_sdevs_never_drift():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from pdclust import (Dataset, build_schema, cluster_summary, continuous_spec,
                      dahl_select, expand_variables, hm_measure, min_hm_select,
                      nominal_spec, ordinal_spec, similarity)
-from pdclust.postproc import relabel
 
 
 def adjacency(labels):
@@ -279,7 +278,3 @@ class TestClusterSummary:
         ds, schema = self.make_inputs()
         summ = cluster_summary(np.zeros(4, dtype=int), ds, schema)
         assert summ.header == ["inc", "b", "m:0", "m:1", "m:2", "size_pct"]
-
-
-def test_relabel_contiguous_by_first_appearance():
-    assert np.array_equal(relabel([5, 5, 2, 7, 2]), [0, 0, 1, 2, 1])

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import pdclust.sampler
 from pdclust import (BaseMeasure, Dataset, PDHyper, PriorConstants, SamplerConfig,
-                     build_schema, continuous_spec, gen_study1, geweke_joint_test,
-                     initial_latents, load_checkpoint, ordinal_spec, run_chain,
-                     save_checkpoint, scenario_variable_specs)
-from pdclust.covariance import CovarianceState
+                     build_schema, continuous_spec, fit_transforms, gen_study1, gen_study2,
+                     geweke_joint_test, initial_latents, load_checkpoint, ordinal_spec,
+                     run_chain, save_checkpoint, scenario_sampler_settings,
+                     scenario_variable_specs)
+from pdclust.covariance import CovarianceState, chol_logdet, correlation_support
 from pdclust.latent import LatentState
 from pdclust.sampler import (MixtureState, _location_posterior, effective_pis,
                              gibbs_sweep, init_states, update_mu_i, update_unique_mus,
@@ -289,3 +291,128 @@ def test_update_unique_mus_refreshes_all_clusters():
     update_unique_mus(latents, mixture, cov, base, 1.0, np.ones(10), rng)
     assert not np.allclose(mixture.mus, before)
     mixture.check(10)
+
+
+def reference_update_mu_i(i, latents, mixture, cov, base, hyper, pi_i, var_scale, rng,
+                          log_new, log_const):
+    """Step (a) with numpy's scalar isfinite, a separate temporary and np.cumsum."""
+    z_i = latents.z[i]
+    q = z_i.shape[0]
+    old = mixture.labels[i]
+    mixture.labels[i] = -1
+    mixture.counts[old] -= 1
+    if mixture.counts[old] == 0:
+        mixture.remove_cluster(old)
+    r_i = mixture.r
+    open_new = r_i == 0
+    if not open_new:
+        logd = np.empty(r_i + 1)
+        diff = mixture.mus - z_i
+        t = diff @ cov.sigma_inv
+        quad = (t * diff).sum(axis=1) / (var_scale * pi_i)
+        logd[1:] = np.log(mixture.counts - hyper.discount) + log_const - 0.5 * quad
+        logd[0] = np.log(hyper.strength + hyper.discount * r_i) + log_new
+        p = np.exp(logd - logd.max())
+        total = p.sum()
+        if not np.isfinite(total):
+            raise FloatingPointError(f"membership weights of record {i} are not finite")
+        p /= total
+        idx = int(np.searchsorted(np.cumsum(p), rng.random()))
+        idx = min(idx, r_i)
+        open_new = idx == 0
+    if open_new:
+        w_i = 1.0 / pi_i
+        nu, V = _location_posterior(
+            cov.sigma_inv, base.base_var, w_i / var_scale, (z_i * w_i) / var_scale
+        )
+        mu_new = nu + np.linalg.cholesky(V) @ rng.standard_normal(q)
+        mixture.labels[i] = mixture.add_cluster(mu_new)
+    else:
+        j = idx - 1
+        mixture.labels[i] = j
+        mixture.counts[j] += 1
+    return mixture
+
+
+def reference_correlation_logpost(corr, sdevs, scatter, n, q):
+    """The correlation log target from q principal-minor slogdets and a solve."""
+    logdet = chol_logdet(np.linalg.cholesky(corr))
+    minors = 0.0
+    for l in range(q):
+        keep = np.arange(q) != l
+        sign, val = np.linalg.slogdet(corr[np.ix_(keep, keep)])
+        if sign <= 0:
+            raise np.linalg.LinAlgError("principal minor not positive")
+        minors += val
+    post = -0.5 * (q + 1.0) * minors - 0.5 * (n + 2.0 - q * (q - 1.0)) * logdet
+    if scatter is not None and np.any(scatter):
+        a = scatter / np.outer(sdevs, sdevs)
+        post -= 0.5 * float(np.trace(np.linalg.solve(corr, a)))
+    return post
+
+
+def reference_update_correlation(state, j, k, scatter, n, rng, hastings=True):
+    """Step (e) scoring both the candidate and the current matrix from scratch."""
+    q = state.q
+    lo, hi = correlation_support(state.corr, j, k)
+    length = hi - lo
+    if length <= 0.0:
+        return False
+    half = length / state.corr_window_frac
+    cur = float(state.corr[j, k])
+    w_lo, w_hi = max(lo, cur - half), min(hi, cur + half)
+    cand = rng.uniform(w_lo, w_hi)
+    c_lo, c_hi = max(lo, cand - half), min(hi, cand + half)
+    cand_corr = state.corr.copy()
+    cand_corr[j, k] = cand_corr[k, j] = cand
+    try:
+        log_ratio = (
+            reference_correlation_logpost(cand_corr, state.sdevs, scatter, n, q)
+            - reference_correlation_logpost(state.corr, state.sdevs, scatter, n, q)
+        )
+    except np.linalg.LinAlgError:
+        return False
+    if hastings:
+        log_ratio += np.log(w_hi - w_lo) - np.log(c_hi - c_lo)
+    if np.log(rng.random()) < log_ratio:
+        state.corr[j, k] = state.corr[k, j] = cand
+        try:
+            state.refresh()
+        except np.linalg.LinAlgError:
+            state.corr[j, k] = state.corr[k, j] = cur
+            state.refresh()
+            return False
+        return True
+    return False
+
+
+def scenario_sweeps(scenario, sweeps, seed=3):
+    spec = ScenarioSpec(scenario, seed=seed)
+    if scenario == "III":
+        dataset, _ = gen_study1(spec)
+    else:
+        dataset, _ = gen_study2(spec)
+    schema = fit_transforms(build_schema(scenario_variable_specs(scenario)), dataset)
+    weight_mode, var_scale = scenario_sampler_settings(scenario, dataset.wbar)
+    cfg = SamplerConfig(iterations=sweeps + 1, burnin=0, var_scale=var_scale,
+                        weight_mode=weight_mode, priors=PRIOR_C)
+    pis = effective_pis(dataset, weight_mode)
+    latents = initial_latents(dataset, schema)
+    mixture, cov, base, hyper = init_states(latents, schema, cfg)
+    rng = np.random.default_rng(seed)
+    for _ in range(sweeps):
+        gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng)
+    return mixture, cov, base, hyper
+
+
+@pytest.mark.parametrize("scenario", ["III", "V"])
+def test_sweeps_match_reference_urn_and_correlation_steps(scenario, monkeypatch):
+    new = scenario_sweeps(scenario, 40)
+    monkeypatch.setattr(pdclust.sampler, "update_mu_i", reference_update_mu_i)
+    monkeypatch.setattr(pdclust.sampler, "update_correlation", reference_update_correlation)
+    ref = scenario_sweeps(scenario, 40)
+    (m1, c1, b1, h1), (m2, c2, b2, h2) = new, ref
+    for a, b in [(m1.labels, m2.labels), (m1.counts, m2.counts), (m1.mus, m2.mus),
+                 (c1.sdevs, c2.sdevs), (c1.corr, c2.corr), (b1.base_var, b2.base_var),
+                 (h1.discount, h2.discount), (h1.strength, h2.strength)]:
+        assert np.array_equal(a, b)
