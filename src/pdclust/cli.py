@@ -38,6 +38,10 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
+#: Errors that stop a chain: a failed invariant check, a non-PD factorisation,
+#: non-finite urn weights, and a stored-count mismatch in ``run_chain``.
+CHAIN_ABORTS = (AssertionError, np.linalg.LinAlgError, FloatingPointError, RuntimeError)
+
 #: Variance-prior presets: (var shape, var scale, base shape, base scale).
 PRESETS = {
     "A": (0.1, 0.1, 0.1, 0.1),
@@ -347,7 +351,7 @@ def run_command(cfg: RunConfig) -> dict:
                 outputs = list(pool.map(_run_single, payloads))
         else:
             outputs = [_run_single(p) for p in payloads]
-    except (AssertionError, np.linalg.LinAlgError) as err:
+    except CHAIN_ABORTS as err:
         raise CliError(EXIT_RUNTIME, f"chain aborted: {err}") from err
 
     free_names = [schema.variables[k].name for k in range(schema.p)

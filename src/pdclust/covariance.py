@@ -102,12 +102,25 @@ class CovarianceState:
     def q(self) -> int:
         return self.sdevs.shape[0]
 
-    def refresh(self):
-        self.sigma, self.chol = compose_sigma(self.sdevs, self.corr)
+    def refresh(self, sigma=None, corr_factor=None):
+        """Recompute the caches from ``sdevs`` and ``corr``.
+
+        A move hands in what it has already computed for the new state:
+        after a variance move ``sigma`` is ``compose_sigma(sdevs, corr)``,
+        and the correlation caches are kept because ``corr`` did not move;
+        after a correlation move ``corr_factor`` is
+        ``_correlation_factor(corr)``. Either way the caches equal those of a
+        full refresh bit for bit.
+        """
+        self.sigma, self.chol = compose_sigma(self.sdevs, self.corr) if sigma is None else sigma
         inv_chol = np.linalg.inv(self.chol)
         self.sigma_inv = inv_chol.T @ inv_chol
         self.logdet_sigma = chol_logdet(self.chol)
-        self.corr_inv_chol, self.corr_logdet = _correlation_factor(self.corr)
+        if sigma is not None:
+            return
+        if corr_factor is None:
+            corr_factor = _correlation_factor(self.corr)
+        self.corr_inv_chol, self.corr_logdet = corr_factor
         self.corr_inv = self.corr_inv_chol.T @ self.corr_inv_chol
 
     def check(self):
@@ -131,7 +144,8 @@ def update_variance(state: CovarianceState, j: int, scatter, n: int, rng,
                     hastings: bool = True) -> bool:
     """Gamma-proposal MH step on the free variance of coordinate ``j``.
 
-    Returns True when the move is accepted (state mutated in place).
+    Returns True when the move is accepted (state mutated in place); the
+    candidate's sigma and Cholesky factor then become the caches.
     """
     if not state.free[j]:
         raise ValueError(f"coordinate {j} has a fixed variance")
@@ -159,8 +173,8 @@ def update_variance(state: CovarianceState, j: int, scatter, n: int, rng,
         log_ratio -= _gamma_logpdf_shape_scale(cand, shape, cur / shape)
 
     if np.log(rng.random()) < log_ratio:
-        state.sdevs[j] = np.sqrt(cand)
-        state.refresh()
+        state.sdevs[j] = cand_sdevs[j]
+        state.refresh(sigma=(sigma_cand, chol_cand))
         return True
     return False
 
@@ -231,7 +245,8 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     The proposal window is the PD support shrunk to ``length/corr_window_frac``
     on each side of the current value; the Hastings term corrects for the
     position-dependent window. The current matrix is scored from the
-    factor cached on ``state``; only the candidate is factorised.
+    factor cached on ``state``; only the candidate is factorised, and an
+    accepted candidate's factor becomes the cache.
     """
     if j >= k:
         raise ValueError("update upper-triangle entries only (j < k)")
@@ -249,8 +264,9 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     cand_corr = state.corr.copy()
     cand_corr[j, k] = cand_corr[k, j] = cand
     try:
+        cand_factor = _correlation_factor(cand_corr)
         log_ratio = (
-            _correlation_logpost(_correlation_factor(cand_corr), state.sdevs, scatter, n, q)
+            _correlation_logpost(cand_factor, state.sdevs, scatter, n, q)
             - _correlation_logpost((state.corr_inv_chol, state.corr_logdet),
                                    state.sdevs, scatter, n, q)
         )
@@ -262,7 +278,7 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     if np.log(rng.random()) < log_ratio:
         state.corr[j, k] = state.corr[k, j] = cand
         try:
-            state.refresh()
+            state.refresh(corr_factor=cand_factor)
         except np.linalg.LinAlgError:
             # numerically non-PD despite being inside the support: back out
             state.corr[j, k] = state.corr[k, j] = cur

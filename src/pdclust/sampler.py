@@ -163,7 +163,7 @@ def urn_sweep_terms(z, pis, var_scale, cov, base_var):
     of the kernel N(z_i; mu_j, c_i sigma) that every existing cluster
     shares. Each record has its own c_i under design weights, so the
     new-cluster covariance is factorised once per record, in one batched
-    Cholesky.
+    Cholesky. :class:`UrnTables` holds these two terms for step (a).
     """
     q = z.shape[1]
     c = var_scale * np.asarray(pis, dtype=float)
@@ -175,37 +175,88 @@ def urn_sweep_terms(z, pis, var_scale, cov, base_var):
     return log_new, log_const
 
 
-def update_mu_i(i, latents, mixture, cov, base, hyper, pi_i, var_scale, rng,
-                log_new, log_const):
+class UrnTables:
+    """Everything step (a) reads to weigh a record's urn choices, for one sweep.
+
+    - ``log_new`` and ``log_const``: the :func:`urn_sweep_terms` of every
+      record.
+    - ``log_join[k] = log(k - discount)`` and
+      ``log_open[k] = log(strength + discount * k)`` for k = 1..n, the urn's
+      log weights of joining a cluster of k records and of opening a new
+      cluster beside k others. Slot 0 is never read and holds NaN, so that
+      no log of a non-positive number is taken.
+    - ``half_quad[i, j]``: half the quadratic form of z_i about location j
+      under the kernel c_i sigma, ``((z_i - mu_j) sigma^-1 (z_i - mu_j)') /
+      (2 c_i)``, one column per cluster in the order of ``mixture.mus``.
+
+    Step (a) changes none of the latents, sigma, the base variances,
+    ``var_scale``, the pis, the discount or the strength, and it moves no
+    existing location: it only deletes a location when a cluster dies and
+    appends one when a cluster is born. So the tables stay valid for the
+    whole step as long as :meth:`drop` and :meth:`add` follow
+    ``MixtureState.remove_cluster`` and ``add_cluster``.
+
+    The quadratic forms use the same stacked matmul, product, sum and
+    division as a per-record computation would. With OpenBLAS they equal it
+    bit for bit at q <= 3. At q >= 4 a row's rounding can depend on how many
+    locations share the product (one new location goes through a
+    matrix-vector product), so a column appended at a birth may differ from
+    the per-record value in its last bit.
+    """
+
+    def __init__(self, z, pis, var_scale, cov, base_var, hyper, mus):
+        n = z.shape[0]
+        self.z = z
+        self.c = var_scale * np.asarray(pis, dtype=float)
+        self.sigma_inv = cov.sigma_inv
+        self.log_new, self.log_const = urn_sweep_terms(z, pis, var_scale, cov, base_var)
+        k = np.arange(1, n + 1)
+        self.log_join = np.full(n + 1, np.nan)
+        self.log_join[1:] = np.log(k - hyper.discount)
+        self.log_open = np.full(n + 1, np.nan)
+        self.log_open[1:] = np.log(hyper.strength + hyper.discount * k)
+        self.half_quad = self._half_quad(mus)
+
+    def _half_quad(self, mus):
+        """(n, len(mus)) half quadratic forms, one stacked matmul per record."""
+        diff = mus[None, :, :] - self.z[:, None, :]
+        return 0.5 * (((diff @ self.sigma_inv) * diff).sum(axis=-1) / self.c[:, None])
+
+    def drop(self, j: int):
+        """Forget location ``j``, as ``MixtureState.remove_cluster(j)`` does."""
+        self.half_quad = np.delete(self.half_quad, j, axis=1)
+
+    def add(self, mu: np.ndarray):
+        """Append a column for a new location, as ``MixtureState.add_cluster`` does."""
+        self.half_quad = np.hstack([self.half_quad, self._half_quad(mu[None, :])])
+
+
+def update_mu_i(i, latents, mixture, cov, base, pi_i, var_scale, rng, tables):
     """Collapsed urn reassignment of record ``i`` (conditional (a)).
 
     Detaches the record, weighs opening a fresh cluster against each
     existing one in log space, and either joins a cluster or draws a new
-    location from its Gaussian posterior. ``log_new`` and ``log_const`` are
-    record ``i``'s entries of :func:`urn_sweep_terms`; they depend only on
-    z_i, pi_i, var_scale, sigma and the base variances, none of which this
-    step changes. What is left per record is the part that depends on the
-    partition: the urn's log weights and the quadratic form of z_i about
-    each cluster location. Raises ``FloatingPointError`` naming the record
-    when its membership weights are not finite.
+    location from its Gaussian posterior. Every term of the weights is read
+    from ``tables``, an :class:`UrnTables` built for the current sweep: the
+    urn's log weights by cluster count and by the number of other clusters,
+    record ``i``'s constants, and its half quadratic forms about each
+    location. A cluster death or birth is passed on to the tables. Raises
+    ``FloatingPointError`` naming the record when its membership weights are
+    not finite.
     """
-    z_i = latents.z[i]
-    q = z_i.shape[0]
-
     old = mixture.labels[i]
     mixture.labels[i] = -1
     mixture.counts[old] -= 1
     if mixture.counts[old] == 0:
         mixture.remove_cluster(old)
+        tables.drop(old)
 
     r_i = mixture.r
     open_new = r_i == 0
     if not open_new:
         logd = np.empty(r_i + 1)
-        diff = mixture.mus - z_i
-        quad = ((diff @ cov.sigma_inv) * diff).sum(axis=1) / (var_scale * pi_i)
-        logd[1:] = np.log(mixture.counts - hyper.discount) + log_const - 0.5 * quad
-        logd[0] = np.log(hyper.strength + hyper.discount * r_i) + log_new
+        logd[1:] = tables.log_join[mixture.counts] + tables.log_const[i] - tables.half_quad[i]
+        logd[0] = tables.log_open[r_i] + tables.log_new[i]
 
         p = np.exp(logd - logd.max())
         total = p.sum()
@@ -217,12 +268,14 @@ def update_mu_i(i, latents, mixture, cov, base, hyper, pi_i, var_scale, rng,
         open_new = idx == 0
 
     if open_new:
+        z_i = latents.z[i]
         w_i = 1.0 / pi_i
         nu, V = _location_posterior(
             cov.sigma_inv, base.base_var, w_i / var_scale, (z_i * w_i) / var_scale
         )
-        mu_new = nu + np.linalg.cholesky(V) @ rng.standard_normal(q)
+        mu_new = nu + np.linalg.cholesky(V) @ rng.standard_normal(z_i.shape[0])
         mixture.labels[i] = mixture.add_cluster(mu_new)
+        tables.add(mu_new)
     else:
         j = idx - 1
         mixture.labels[i] = j
@@ -247,17 +300,18 @@ def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng, *,
                 variance_hastings=True, correlation_hastings=True):
     """One full pass over conditionals (a) through (h).
 
-    The urn terms of step (a) that do not depend on the partition (see
-    :func:`urn_sweep_terms`) are computed once before its loop over the
-    records. That is exact: step (a) moves only labels, counts and cluster
-    locations, and leaves the latents, sigma, the base variances,
-    ``var_scale`` and the pis as they were.
+    Step (a) reads its urn weights from one :class:`UrnTables`, built before
+    its loop over the records: the per-record constants, the urn's log
+    weights by count, and the half quadratic form of every record about
+    every location. The tables stay valid through the step: it leaves the
+    latents, sigma, the base variances, ``var_scale``, the pis and the PD
+    hyperparameters as they were and moves no existing location, and its
+    births and deaths update the tables as they happen.
     """
     n, q = latents.z.shape
-    log_new, log_const = urn_sweep_terms(latents.z, pis, var_scale, cov, base.base_var)
+    tables = UrnTables(latents.z, pis, var_scale, cov, base.base_var, hyper, mixture.mus)
     for i in range(n):
-        update_mu_i(i, latents, mixture, cov, base, hyper, pis[i], var_scale, rng,
-                    log_new[i], log_const[i])
+        update_mu_i(i, latents, mixture, cov, base, pis[i], var_scale, rng, tables)
     update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
 
     base.base_var = update_base_scales(base, mixture.mus, rng).base_var

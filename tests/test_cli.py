@@ -6,7 +6,8 @@ import pytest
 
 from pdclust import (Dataset, ScenarioSpec, build_schema, gen_study1,
                      scenario_variable_specs)
-from pdclust.cli import (CliError, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS,
+import pdclust.cli
+from pdclust.cli import (CliError, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, PRESETS,
                          bench_command, main, parse_config, resolve_var_scale,
                          run_command, summarize_command, _build_run_config)
 from pdclust.dataio import (DataFormatError, read_data_csv, read_schema_file,
@@ -277,6 +278,29 @@ class TestVerbs:
         ])
         assert code == EXIT_OK
         assert (tmp / "cli_out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("error", [
+        AssertionError("cluster counts do not sum to n"),
+        np.linalg.LinAlgError("Matrix is not positive definite"),
+        FloatingPointError("membership weights of record 4 are not finite"),
+        RuntimeError("chain stored 3 partitions but the config keeps 12"),
+    ], ids=lambda err: type(err).__name__)
+    def test_chain_errors_exit_three_as_aborted(self, scenario_files, monkeypatch, capsys,
+                                                error):
+        tmp, _, _ = scenario_files
+
+        def abort(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pdclust.cli, "run_chain", abort)
+        code = main([
+            "run", "--data", str(tmp / "data.csv"), "--schema", str(tmp / "schema.txt"),
+            "--out", str(tmp / "aborted"), "--iterations", "20", "--burnin", "4",
+            "--weight-mode", "ignore", "--var-scale", "1", "--seed", "1",
+        ])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"chain aborted: {error}" in err
 
     def test_config_file_layering(self, scenario_files):
         tmp, _, _ = scenario_files

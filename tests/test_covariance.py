@@ -93,6 +93,19 @@ class TestVarianceUpdate:
         se = batches.std(ddof=1) / np.sqrt(len(batches))
         assert abs(trace[2000:].mean() - dist.mean()) < 3 * se
 
+    def test_caches_are_fresh_after_accepted_moves(self):
+        rng = np.random.default_rng(17)
+        state = CovarianceState(sdevs=[1.3, 0.8, 1.0], corr=random_correlation(3, 7),
+                                free=[True, True, False])
+        z = rng.standard_normal((40, 3)) @ random_correlation(3, 8)
+        scatter = scatter_matrix(z, np.zeros_like(z), np.ones(40), 1.0)
+        accepted = 0
+        for _ in range(30):
+            for j in (0, 1):
+                accepted += update_variance(state, j, scatter, 40, rng)
+                assert_every_cache_is_fresh(state)
+        assert accepted > 0
+
     def test_prior_only_mode_recovers_inverse_gamma(self):
         state = CovarianceState.create([True], 2.5, 4.0)
         rng = np.random.default_rng(11)
@@ -190,6 +203,13 @@ def assert_cached_factor_is_fresh(state):
     assert state.corr_logdet == logdet
 
 
+def assert_every_cache_is_fresh(state):
+    fresh = CovarianceState(sdevs=state.sdevs, corr=state.corr, free=state.free)
+    for name in ("sigma", "chol", "sigma_inv", "logdet_sigma", "corr_inv_chol",
+                 "corr_logdet", "corr_inv"):
+        assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+
+
 class TestCorrelationUpdate:
     def test_rejects_lower_triangle_call(self):
         state = CovarianceState.create([True, True], 2.0, 2.0)
@@ -238,7 +258,7 @@ class TestCorrelationUpdate:
         for _ in range(30):
             for j, k in ((0, 1), (0, 2), (1, 2)):
                 accepted += update_correlation(state, j, k, scatter, 40, rng)
-                assert_cached_factor_is_fresh(state)
+                assert_every_cache_is_fresh(state)
         assert accepted > 0
 
     def test_cached_factor_is_fresh_after_backed_out_move(self, monkeypatch):
@@ -249,8 +269,8 @@ class TestCorrelationUpdate:
         refresh = CovarianceState.refresh
         failed = []
 
-        def refresh_then_fail(self):
-            refresh(self)
+        def refresh_then_fail(self, *args, **kwargs):
+            refresh(self, *args, **kwargs)
             if not failed:
                 failed.append(self.corr.copy())
                 raise np.linalg.LinAlgError("simulated non-PD refresh")

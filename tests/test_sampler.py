@@ -1,19 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-import pdclust.sampler
 from pdclust import (BaseMeasure, Dataset, PDHyper, PriorConstants, SamplerConfig,
                      build_schema, continuous_spec, fit_transforms, gen_study1, gen_study2,
                      geweke_joint_test, initial_latents, load_checkpoint, ordinal_spec,
                      run_chain, save_checkpoint, scenario_sampler_settings,
                      scenario_variable_specs)
-from pdclust.covariance import CovarianceState, chol_logdet, correlation_support
-from pdclust.latent import LatentState
-from pdclust.sampler import (MixtureState, _location_posterior, effective_pis,
+from pdclust.covariance import (CovarianceState, chol_logdet, correlation_support,
+                                scatter_matrix, update_variance)
+from pdclust.latent import LatentState, resample_latents
+from pdclust.pdprocess import update_base_scales, update_discount, update_strength
+from pdclust.sampler import (MixtureState, UrnTables, _location_posterior, effective_pis,
                              gibbs_sweep, init_states, update_mu_i, update_unique_mus,
                              urn_sweep_terms)
-from pdclust.simgen import ScenarioSpec
+from pdclust.simgen import STUDY1, ScenarioSpec
 
 PRIOR_C = PriorConstants(var_prior_shape=2.1, var_prior_scale=30.0,
                          base_prior_shape=2.1, base_prior_scale=30.0)
@@ -34,10 +37,9 @@ def tiny_states(n=6, q=1, seed=0, z=None):
 
 
 def urn_update(i, latents, mixture, cov, base, hyper, pis, var_scale, rng):
-    """One step-(a) reassignment of record ``i``, with the terms gibbs_sweep passes."""
-    log_new, log_const = urn_sweep_terms(latents.z, pis, var_scale, cov, base.base_var)
-    update_mu_i(i, latents, mixture, cov, base, hyper, pis[i], var_scale, rng,
-                log_new[i], log_const[i])
+    """One step-(a) reassignment of record ``i``, from tables built as gibbs_sweep builds them."""
+    tables = UrnTables(latents.z, pis, var_scale, cov, base.base_var, hyper, mixture.mus)
+    update_mu_i(i, latents, mixture, cov, base, pis[i], var_scale, rng, tables)
 
 
 class TestMembershipUpdate:
@@ -69,9 +71,11 @@ class TestMembershipUpdate:
         # strength < 0 is legal with positive discount; the empty-urn path
         # must not evaluate log(strength)
         hyper.discount, hyper.strength = 0.5, -0.25
-        for _ in range(20):
-            urn_update(0, latents, mixture, cov, base, hyper, np.ones(1), 1.0, rng)
-            assert mixture.r == 1 and mixture.counts.sum() == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                urn_update(0, latents, mixture, cov, base, hyper, np.ones(1), 1.0, rng)
+                assert mixture.r == 1 and mixture.counts.sum() == 1
 
     def test_count_conservation_over_many_updates(self):
         latents, mixture, cov, base, hyper, rng = tiny_states(n=25, q=2, seed=3)
@@ -386,12 +390,29 @@ def reference_update_correlation(state, j, k, scatter, n, rng, hastings=True):
     return False
 
 
-def scenario_sweeps(scenario, sweeps, seed=3):
+def reference_gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng):
+    """The sweep as it was before step (a) read its weights from UrnTables."""
+    n, q = latents.z.shape
+    log_new, log_const = urn_sweep_terms(latents.z, pis, var_scale, cov, base.base_var)
+    for i in range(n):
+        reference_update_mu_i(i, latents, mixture, cov, base, hyper, pis[i], var_scale, rng,
+                              log_new[i], log_const[i])
+    update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
+    base.base_var = update_base_scales(base, mixture.mus, rng).base_var
+    scatter = scatter_matrix(latents.z, mixture.mus[mixture.labels], pis, var_scale)
+    for j in np.flatnonzero(cov.free):
+        update_variance(cov, int(j), scatter, n, rng)
+    for j in range(q):
+        for k in range(j + 1, q):
+            reference_update_correlation(cov, j, k, scatter, n, rng)
+    hyper.discount = update_discount(hyper, mixture.counts, rng)
+    hyper.strength = update_strength(hyper, mixture.counts, rng)
+    resample_latents(latents, mixture, cov, var_scale, pis, rng)
+
+
+def scenario_sweeps(scenario, sweeps, seed=3, sweep=gibbs_sweep):
     spec = ScenarioSpec(scenario, seed=seed)
-    if scenario == "III":
-        dataset, _ = gen_study1(spec)
-    else:
-        dataset, _ = gen_study2(spec)
+    dataset, _ = (gen_study1 if scenario in STUDY1 else gen_study2)(spec)
     schema = fit_transforms(build_schema(scenario_variable_specs(scenario)), dataset)
     weight_mode, var_scale = scenario_sampler_settings(scenario, dataset.wbar)
     cfg = SamplerConfig(iterations=sweeps + 1, burnin=0, var_scale=var_scale,
@@ -401,18 +422,86 @@ def scenario_sweeps(scenario, sweeps, seed=3):
     mixture, cov, base, hyper = init_states(latents, schema, cfg)
     rng = np.random.default_rng(seed)
     for _ in range(sweeps):
-        gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng)
+        sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng)
     return mixture, cov, base, hyper
 
 
-@pytest.mark.parametrize("scenario", ["III", "V"])
-def test_sweeps_match_reference_urn_and_correlation_steps(scenario, monkeypatch):
+@pytest.mark.parametrize("scenario", ["I", "II", "III", "IV", "V", "VI"])
+def test_sweeps_match_reference_urn_and_correlation_steps(scenario):
     new = scenario_sweeps(scenario, 40)
-    monkeypatch.setattr(pdclust.sampler, "update_mu_i", reference_update_mu_i)
-    monkeypatch.setattr(pdclust.sampler, "update_correlation", reference_update_correlation)
-    ref = scenario_sweeps(scenario, 40)
+    ref = scenario_sweeps(scenario, 40, sweep=reference_gibbs_sweep)
     (m1, c1, b1, h1), (m2, c2, b2, h2) = new, ref
     for a, b in [(m1.labels, m2.labels), (m1.counts, m2.counts), (m1.mus, m2.mus),
                  (c1.sdevs, c2.sdevs), (c1.corr, c2.corr), (b1.base_var, b2.base_var),
                  (h1.discount, h2.discount), (h1.strength, h2.strength)]:
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("discount, strength", [(0.0, 1.7), (0.0, 0.2), (0.3, -0.25),
+                                                (0.7, 2.5)])
+def test_log_tables_match_per_record_logs(discount, strength):
+    n = 60
+    latents, mixture, cov, base, hyper, rng = tiny_states(n=n, q=2, seed=21)
+    hyper.discount, hyper.strength = discount, strength
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = UrnTables(latents.z, np.ones(n), 1.0, cov, base.base_var, hyper,
+                           mixture.mus)
+    for r in range(1, n):
+        counts = rng.multinomial(n - 1 - r, np.full(r, 1.0 / r)) + 1
+        assert np.array_equal(tables.log_join[counts], np.log(counts - hyper.discount))
+        assert tables.log_open[r] == np.log(hyper.strength + hyper.discount * r)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_quadratic_table_tracks_births_and_deaths(q):
+    n = 30
+    rng = np.random.default_rng(40 + q)
+    a = rng.standard_normal((q, q + 2))
+    m = a @ a.T
+    corr = m / np.sqrt(np.outer(np.diag(m), np.diag(m)))
+    cov = CovarianceState(sdevs=rng.uniform(0.5, 1.5, q), corr=corr, free=[True] * q)
+    latents, mixture, _, base, hyper, _ = tiny_states(n=n, q=q, seed=q)
+    base.base_var[:] = 4.0
+    pis = rng.uniform(0.3, 1.0, n)
+    checked = 0
+    for _ in range(6):
+        tables = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, mixture.mus)
+        births = deaths = 0
+        for i in range(n):
+            deaths += mixture.counts[mixture.labels[i]] == 1
+            update_mu_i(i, latents, mixture, cov, base, pis[i], 1.0, rng, tables)
+            births += mixture.counts[mixture.labels[i]] == 1
+        fresh = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, mixture.mus)
+        if q <= 3:
+            assert np.array_equal(tables.half_quad, fresh.half_quad)
+        else:
+            np.testing.assert_allclose(tables.half_quad, fresh.half_quad, rtol=1e-12, atol=0)
+        checked += births > 0 and deaths > 0
+    assert checked > 0
+
+
+def test_urn_passes_match_reference_on_random_partitions():
+    # clusters of many sizes and close locations, so that every urn weight
+    # competes and a wrong count, constant or quadratic form moves a draw
+    n, q = 40, 3
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        latents, _, cov, base, hyper, _ = tiny_states(n=n, q=q, seed=trial)
+        hyper.discount, hyper.strength = rng.choice([0.0, 0.4]), rng.uniform(0.5, 3.0)
+        pis = rng.uniform(0.3, 1.0, n)
+        _, labels = np.unique(rng.integers(0, rng.integers(1, 9), n), return_inverse=True)
+        counts = np.bincount(labels)
+        mus = latents.z[rng.choice(n, counts.size)] + 0.3 * rng.standard_normal((counts.size, q))
+        new = MixtureState(labels.copy(), mus.copy(), counts.copy())
+        ref = MixtureState(labels.copy(), mus.copy(), counts.copy())
+        rng_new, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        tables = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, new.mus)
+        log_new, log_const = urn_sweep_terms(latents.z, pis, 1.0, cov, base.base_var)
+        for i in range(n):
+            update_mu_i(i, latents, new, cov, base, pis[i], 1.0, rng_new, tables)
+            reference_update_mu_i(i, latents, ref, cov, base, hyper, pis[i], 1.0, rng_ref,
+                                  log_new[i], log_const[i])
+        assert np.array_equal(new.labels, ref.labels)
+        assert np.array_equal(new.counts, ref.counts)
+        assert np.array_equal(new.mus, ref.mus)
