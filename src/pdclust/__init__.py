@@ -8,9 +8,9 @@ records' sampling probabilities so complex-survey weights enter the model.
 
 __version__ = "0.1.0"
 
-from .latent import (LatentState, TransformSpec, conditional_moments,
-                     decode_nominal, decode_ordinal, fit_transforms,
-                     initial_latents, resample_latents, transform_continuous)
+from .latent import (LatentState, TransformSpec, conditional_moments, decode_ordinal,
+                     fit_transforms, initial_latents, resample_latents,
+                     transform_continuous)
 from .pdprocess import (BaseMeasure, PDHyper, eppf_log, update_base_scales,
                         update_discount, update_strength, urn_weights)
 from .covariance import (CovarianceState, compose_sigma, correlation_support,
@@ -19,12 +19,11 @@ from .postproc import (ClusterSummary, cluster_summary, dahl_select,
                        expand_variables, hm_measure, min_hm_select, similarity)
 from .sampler import (ChainOutput, GewekeReport, MixtureState, PriorConstants,
                       SamplerConfig, TuningConstants, effective_pis,
-                      geweke_joint_test, gibbs_sweep, load_checkpoint, run_chain,
-                      save_checkpoint, update_mu_i, update_unique_mus,
-                      urn_sweep_terms)
-from .schema import (Dataset, Schema, SchemaError, ValidationReport, VariableSpec,
-                     build_schema, continuous_spec, default_cutoffs, nominal_spec,
-                     ordinal_spec, validate_dataset)
+                      geweke_joint_test, gibbs_sweep, run_chain, update_mu_i,
+                      update_unique_mus, urn_sweep_terms)
+from .schema import (ChainInvariantError, Dataset, Schema, SchemaError, ValidationReport,
+                     VariableSpec, build_schema, continuous_spec, default_cutoffs,
+                     nominal_spec, ordinal_spec, validate_dataset)
 from .simgen import (MixtureDensity, ScenarioSpec, gen_study1, gen_study2,
                      scenario_sampler_settings, scenario_variable_specs,
                      study1_latents)

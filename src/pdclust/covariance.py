@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .schema import ChainInvariantError
+
 
 def chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diag(chol)).sum())
@@ -124,12 +126,14 @@ class CovarianceState:
         self.corr_inv = self.corr_inv_chol.T @ self.corr_inv_chol
 
     def check(self):
-        assert np.array_equal(self.sdevs[~self.free], np.ones((~self.free).sum())), (
-            "fixed standard deviations drifted from 1"
-        )
-        assert np.allclose(self.corr, self.corr.T, atol=1e-12), "corr not symmetric"
-        assert np.allclose(np.diag(self.corr), 1.0), "corr diagonal not 1"
-        assert np.all(np.isfinite(self.chol)), "stale covariance factorization"
+        if not np.array_equal(self.sdevs[~self.free], np.ones((~self.free).sum())):
+            raise ChainInvariantError("fixed standard deviations drifted from 1")
+        if not np.allclose(self.corr, self.corr.T, atol=1e-12):
+            raise ChainInvariantError("corr not symmetric")
+        if not np.allclose(np.diag(self.corr), 1.0):
+            raise ChainInvariantError("corr diagonal not 1")
+        if not np.all(np.isfinite(self.chol)):
+            raise ChainInvariantError("stale covariance factorization")
 
 
 def _variance_logpost(sdevs, corr_inv, j, value, scatter, n, shape, scale):
@@ -144,7 +148,7 @@ def update_variance(state: CovarianceState, j: int, scatter, n: int, rng,
                     hastings: bool = True) -> bool:
     """Gamma-proposal MH step on the free variance of coordinate ``j``.
 
-    Returns True when the move is accepted (state mutated in place); the
+    Returns True when the move is accepted (state updated in place); the
     candidate's sigma and Cholesky factor then become the caches.
     """
     if not state.free[j]:

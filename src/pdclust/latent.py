@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .schema import CONTINUOUS, NOMINAL, ORDINAL, Dataset, Schema
+from .schema import CONTINUOUS, NOMINAL, ORDINAL, ChainInvariantError, Dataset, Schema
 
 logger = logging.getLogger(__name__)
 
@@ -116,55 +116,32 @@ def decode_ordinal(z, cutoffs) -> int | np.ndarray:
     idx = np.clip(idx, 0, len(cutoffs) - 2)
     return idx if np.ndim(z) else int(idx)
 
-def decode_nominal(zblock) -> int:
-    """Category of a nominal latent block.
-
-    The last category when every coordinate is negative, otherwise the
-    position of the maximum (ties resolved to the lowest index).
-    """
-    zblock = np.asarray(zblock, dtype=float)
-    if zblock.max() < 0:
-        return zblock.shape[-1]
-    return int(np.argmax(zblock))
-
 
 def decode_nominal_rows(zblock: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`decode_nominal` over rows."""
+    """Category of each row of a block of nominal latents.
+
+    The last category when every coordinate of the row is negative,
+    otherwise the position of the maximum (ties resolved to the lowest
+    index).
+    """
     cat = np.argmax(zblock, axis=1)
     cat[zblock.max(axis=1) < 0] = zblock.shape[1]
     return cat
 
 
-def conditional_moments(sigma, mu, z, coord: int, scale: float):
+def conditional_moments(prec, mu, z, coord: int, scale):
     """Mean and variance of one coordinate given the rest of a Gaussian.
 
-    For ``z ~ N(mu, scale * sigma)`` returns ``(nu, V)`` with
-    ``nu = mu[coord] + s12 @ inv(s22) @ (z_rest - mu_rest)`` and
-    ``V = scale * (s11 - s12 @ inv(s22) @ s21)``.
+    For ``z ~ N(mu, scale * inv(prec))`` returns ``(nu, var)`` with
+    ``nu = mu[coord] - sum_{l != coord} prec[coord, l] (z[l] - mu[l]) /
+    prec[coord, coord]`` and ``var = scale / prec[coord, coord]``. ``mu``
+    and ``z`` are arrays that may carry leading record axes, with ``scale``
+    a scalar or one value per record.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    z = np.asarray(z, dtype=float)
-    q = sigma.shape[0]
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if q == 1:
-        return float(mu[0]), float(scale * sigma[0, 0])
-    rest = np.arange(q) != coord
-    s11 = sigma[coord, coord]
-    s12 = sigma[coord, rest]
-    s22 = sigma[np.ix_(rest, rest)]
-    try:
-        w = np.linalg.solve(s22, z[rest] - mu[rest])
-        v = np.linalg.solve(s22, s12)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            "conditioning block is singular; covariance state corrupted"
-        ) from err
-    nu = float(mu[coord] + s12 @ w)
-    var = float(scale * (s11 - s12 @ v))
-    if var <= 0:
-        raise np.linalg.LinAlgError("nonpositive conditional variance")
+    gap = z - mu
+    slope = gap @ prec[:, coord] - prec[coord, coord] * gap[..., coord]
+    nu = mu[..., coord] - slope / prec[coord, coord]
+    var = scale / prec[coord, coord]
     return nu, var
 
 
@@ -268,24 +245,21 @@ class LatentState:
         return self.dataset.values[:, self.schema.input_index[k]]
 
     def check_consistent(self) -> None:
-        """Raise AssertionError unless decode reproduces the observed data."""
+        """Raise ChainInvariantError unless decode reproduces the observed data."""
         for k, v in enumerate(self.schema.variables):
             sl = self.schema.latent_slice(k)
             if v.kind == CONTINUOUS:
                 expect = transform_continuous(self.observed_column(k), v.transform)
-                assert np.array_equal(self.z[:, sl.start], expect), (
-                    f"continuous latent drifted for {v.name}"
-                )
+                if not np.array_equal(self.z[:, sl.start], expect):
+                    raise ChainInvariantError(f"continuous latent drifted for {v.name}")
             elif v.kind == ORDINAL:
                 got = decode_ordinal(self.z[:, sl.start], self.schema.cutoff_array(k))
-                assert np.array_equal(got, self.observed_column(k).astype(int)), (
-                    f"ordinal decode mismatch for {v.name}"
-                )
+                if not np.array_equal(got, self.observed_column(k).astype(int)):
+                    raise ChainInvariantError(f"ordinal decode mismatch for {v.name}")
             else:
                 got = decode_nominal_rows(self.z[:, sl])
-                assert np.array_equal(got, self.observed_column(k).astype(int)), (
-                    f"nominal decode mismatch for {v.name}"
-                )
+                if not np.array_equal(got, self.observed_column(k).astype(int)):
+                    raise ChainInvariantError(f"nominal decode mismatch for {v.name}")
 
 
 def initial_latents(dataset: Dataset, schema: Schema) -> LatentState:
@@ -350,14 +324,10 @@ def resample_latents(state: LatentState, mixture, cov, var_scale: float, pis, rn
     schema = state.schema
     z = state.z
     mu = mixture.mus[mixture.labels]
-    prec = cov.sigma_inv
-    base_var = var_scale * np.asarray(pis, dtype=float)
+    scale = var_scale * np.asarray(pis, dtype=float)
 
     def redraw(j, lower, upper):
-        gap = z - mu
-        slope = gap @ prec[:, j] - prec[j, j] * gap[:, j]
-        nu = mu[:, j] - slope / prec[j, j]
-        var = base_var / prec[j, j]
+        nu, var = conditional_moments(cov.sigma_inv, mu, z, j, scale)
         z[:, j] = sample_truncated_normal_many(nu, var, lower, upper, rng)
 
     for k, v in enumerate(schema.variables):

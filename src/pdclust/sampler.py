@@ -10,7 +10,6 @@ locations right after the memberships change.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,12 +20,10 @@ from .covariance import CovarianceState, scatter_matrix, update_correlation, upd
 from .latent import LatentState, fit_transforms, initial_latents, resample_latents
 from .pdprocess import BaseMeasure, PDHyper, update_base_scales, update_discount, \
     update_strength, urn_weights
-from .schema import Dataset, Schema
+from .schema import ChainInvariantError, Dataset, Schema
 
 WEIGHT_MODE_IGNORE = "ignore"
 WEIGHT_MODE_DESIGN = "design"
-
-CHECKPOINT_VERSION = 1
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -63,11 +60,12 @@ class MixtureState:
         return len(self.counts) - 1
 
     def check(self, n: int):
-        assert self.counts.sum() == n, "cluster counts do not sum to n"
-        assert np.all(self.counts >= 1), "empty cluster left behind"
-        assert np.array_equal(
-            np.bincount(self.labels, minlength=self.r), self.counts
-        ), "labels and counts disagree"
+        if self.counts.sum() != n:
+            raise ChainInvariantError("cluster counts do not sum to n")
+        if not np.all(self.counts >= 1):
+            raise ChainInvariantError("empty cluster left behind")
+        if not np.array_equal(np.bincount(self.labels, minlength=self.r), self.counts):
+            raise ChainInvariantError("labels and counts disagree")
 
 
 @dataclass(frozen=True)
@@ -296,8 +294,7 @@ def update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng):
     return mixture
 
 
-def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng, *,
-                variance_hastings=True, correlation_hastings=True):
+def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng):
     """One full pass over conditionals (a) through (h).
 
     Step (a) reads its urn weights from one :class:`UrnTables`, built before
@@ -318,15 +315,40 @@ def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng, *,
 
     scatter = scatter_matrix(latents.z, mixture.mus[mixture.labels], pis, var_scale)
     for j in np.flatnonzero(cov.free):
-        update_variance(cov, int(j), scatter, n, rng, hastings=variance_hastings)
+        update_variance(cov, int(j), scatter, n, rng)
     for j in range(q):
         for k in range(j + 1, q):
-            update_correlation(cov, j, k, scatter, n, rng, hastings=correlation_hastings)
+            update_correlation(cov, j, k, scatter, n, rng)
 
     hyper.discount = update_discount(hyper, mixture.counts, rng)
     hyper.strength = update_strength(hyper, mixture.counts, rng)
 
     resample_latents(latents, mixture, cov, var_scale, pis, rng)
+
+
+def _build_states(schema: Schema, config: SamplerConfig, labels, mus, sdevs, corr,
+                  base_var, discount: float, strength: float):
+    """Chain states from start values and the config's prior and tuning constants.
+
+    Returns ``(mixture, cov, base, hyper)``. ``labels`` must be contiguous,
+    so the cluster counts are their bincount.
+    """
+    pr, tu = config.priors, config.tuning
+    mixture = MixtureState(labels=labels, mus=mus, counts=np.bincount(labels))
+    cov = CovarianceState(
+        sdevs=sdevs, corr=corr, free=schema.free_mask(),
+        var_prior_shape=pr.var_prior_shape, var_prior_scale=pr.var_prior_scale,
+        var_proposal_shape=tu.var_proposal_shape, corr_window_frac=tu.corr_window_frac,
+    )
+    base = BaseMeasure(base_var, pr.base_prior_shape, pr.base_prior_scale)
+    hyper = PDHyper(
+        discount=discount, strength=strength,
+        discount_zero_prob=pr.discount_zero_prob,
+        discount_beta1=pr.discount_beta1, discount_beta2=pr.discount_beta2,
+        strength_shape=pr.strength_shape, strength_rate=pr.strength_rate,
+        strength_step=tu.strength_step,
+    )
+    return mixture, cov, base, hyper
 
 
 def init_states(latents: LatentState, schema: Schema, config: SamplerConfig):
@@ -341,38 +363,21 @@ def init_states(latents: LatentState, schema: Schema, config: SamplerConfig):
     same chain started from the true labels never visits r = 1. The reported
     cluster count therefore depends on the start.
     """
-    pr, tu = config.priors, config.tuning
+    pr = config.priors
     z = latents.z
-    n = z.shape[0]
+    n, q = z.shape
     pis = effective_pis(latents.dataset, config.weight_mode)
 
     center = z.mean(axis=0)
-    mixture = MixtureState(
-        labels=np.zeros(n, dtype=np.int64),
-        mus=center[None, :].copy(),
-        counts=np.array([n], dtype=np.int64),
-    )
-    cov = CovarianceState.create(
-        schema.free_mask(), pr.var_prior_shape, pr.var_prior_scale,
-        tu.var_proposal_shape, tu.corr_window_frac,
-    )
     free = schema.free_mask()
-    if free.any():
-        resid = (z - center) ** 2 / (config.var_scale * pis)[:, None]
-        moments = resid.mean(axis=0)[free]
-        cov.sdevs[free] = np.sqrt(np.where(moments > 0, moments, 1.0))
-        cov.refresh()
+    sdevs = np.ones(q)
+    resid = (z - center) ** 2 / (config.var_scale * pis)[:, None]
+    moments = resid.mean(axis=0)[free]
+    sdevs[free] = np.sqrt(np.where(moments > 0, moments, 1.0))
     # inverse-gamma mode of the one-location conditional, defined for any shape
     base0 = (pr.base_prior_scale + 0.5 * center ** 2) / (pr.base_prior_shape + 1.5)
-    base = BaseMeasure(base0, pr.base_prior_shape, pr.base_prior_scale)
-    hyper = PDHyper(
-        discount=0.0, strength=1.0,
-        discount_zero_prob=pr.discount_zero_prob,
-        discount_beta1=pr.discount_beta1, discount_beta2=pr.discount_beta2,
-        strength_shape=pr.strength_shape, strength_rate=pr.strength_rate,
-        strength_step=tu.strength_step,
-    )
-    return mixture, cov, base, hyper
+    return _build_states(schema, config, np.zeros(n, dtype=np.int64), center[None, :].copy(),
+                         sdevs, np.eye(q), base0, 0.0, 1.0)
 
 
 def run_chain(dataset: Dataset, schema: Schema, config: SamplerConfig) -> ChainOutput:
@@ -424,57 +429,6 @@ def run_chain(dataset: Dataset, schema: Schema, config: SamplerConfig) -> ChainO
         seed=config.seed,
         runtime_seconds=time.perf_counter() - t0,
     )
-
-
-def save_checkpoint(path, latents, mixture, cov, base, hyper, rng, sweep: int = 0):
-    """Dump all chain states plus the generator position, bit-exactly."""
-    np.savez(
-        path,
-        version=np.int64(CHECKPOINT_VERSION),
-        sweep=np.int64(sweep),
-        z=latents.z,
-        labels=mixture.labels,
-        mus=mixture.mus,
-        counts=mixture.counts,
-        sdevs=cov.sdevs,
-        corr=cov.corr,
-        base_var=base.base_var,
-        discount=np.float64(hyper.discount),
-        strength=np.float64(hyper.strength),
-        rng_state=json.dumps(rng.bit_generator.state),
-    )
-
-
-def load_checkpoint(path, dataset: Dataset, schema: Schema, config: SamplerConfig):
-    """Rebuild chain states saved by :func:`save_checkpoint`."""
-    with np.load(path, allow_pickle=False) as blob:
-        if int(blob["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {int(blob['version'])}")
-        schema = fit_transforms(schema, dataset)
-        latents = LatentState(z=blob["z"].copy(), dataset=dataset, schema=schema)
-        mixture = MixtureState(
-            labels=blob["labels"].copy(), mus=blob["mus"].copy(),
-            counts=blob["counts"].copy(),
-        )
-        pr, tu = config.priors, config.tuning
-        cov = CovarianceState(
-            sdevs=blob["sdevs"], corr=blob["corr"], free=schema.free_mask(),
-            var_prior_shape=pr.var_prior_shape, var_prior_scale=pr.var_prior_scale,
-            var_proposal_shape=tu.var_proposal_shape,
-            corr_window_frac=tu.corr_window_frac,
-        )
-        base = BaseMeasure(blob["base_var"], pr.base_prior_shape, pr.base_prior_scale)
-        hyper = PDHyper(
-            discount=float(blob["discount"]), strength=float(blob["strength"]),
-            discount_zero_prob=pr.discount_zero_prob,
-            discount_beta1=pr.discount_beta1, discount_beta2=pr.discount_beta2,
-            strength_shape=pr.strength_shape, strength_rate=pr.strength_rate,
-            strength_step=tu.strength_step,
-        )
-        rng = np.random.default_rng()
-        rng.bit_generator.state = json.loads(str(blob["rng_state"]))
-        sweep = int(blob["sweep"])
-    return latents, mixture, cov, base, hyper, rng, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +490,7 @@ def _encode_observed(z: np.ndarray, schema: Schema) -> np.ndarray:
 
 def _ancestral_draw(schema: Schema, config: SamplerConfig, pis, rng):
     """Exact joint draw of (hyperparameters, partition, latents, data)."""
-    pr, tu = config.priors, config.tuning
+    pr = config.priors
     q, n = schema.q, len(pis)
 
     discount = 0.0 if rng.random() < pr.discount_zero_prob else rng.beta(
@@ -554,18 +508,12 @@ def _ancestral_draw(schema: Schema, config: SamplerConfig, pis, rng):
         rho = rng.uniform(-1.0, 1.0)
         corr[0, 1] = corr[1, 0] = rho
 
-    hyper = PDHyper(
-        discount=discount, strength=strength,
-        discount_zero_prob=pr.discount_zero_prob,
-        discount_beta1=pr.discount_beta1, discount_beta2=pr.discount_beta2,
-        strength_shape=pr.strength_shape, strength_rate=pr.strength_rate,
-        strength_step=tu.strength_step,
-    )
+    urn = PDHyper(discount=discount, strength=strength)  # the urn reads only these two
     labels = np.empty(n, dtype=np.int64)
     counts: list[int] = []
     mus_list: list[np.ndarray] = []
     for i in range(n):
-        w = urn_weights(hyper, np.asarray(counts), i + 1)
+        w = urn_weights(urn, np.asarray(counts), i + 1)
         idx = int(np.searchsorted(np.cumsum(w), rng.random()))
         idx = min(idx, len(counts))
         if idx == 0:
@@ -575,15 +523,8 @@ def _ancestral_draw(schema: Schema, config: SamplerConfig, pis, rng):
         else:
             counts[idx - 1] += 1
             labels[i] = idx - 1
-    mixture = MixtureState(labels=labels, mus=np.array(mus_list),
-                           counts=np.array(counts, dtype=np.int64))
-
-    cov = CovarianceState(
-        sdevs=sdevs, corr=corr, free=free,
-        var_prior_shape=pr.var_prior_shape, var_prior_scale=pr.var_prior_scale,
-        var_proposal_shape=tu.var_proposal_shape, corr_window_frac=tu.corr_window_frac,
-    )
-    base = BaseMeasure(base_var, pr.base_prior_shape, pr.base_prior_scale)
+    mixture, cov, base, hyper = _build_states(schema, config, labels, np.array(mus_list),
+                                              sdevs, corr, base_var, discount, strength)
     z = _draw_latents(mixture, cov, config.var_scale, pis, rng)
     return mixture, cov, base, hyper, z
 
@@ -632,25 +573,22 @@ def _harness_stats(schema: Schema, free_idx, cat_var: int | None):
 
 
 def geweke_joint_test(schema: Schema, config: SamplerConfig, draws: int,
-                      pis=(1.0, 0.8, 0.65, 0.9, 0.75), mutate: str | None = None,
-                      seed: int = 0) -> GewekeReport:
+                      pis=(1.0, 0.8, 0.65, 0.9, 0.75), seed: int = 0) -> GewekeReport:
     """Compare ancestral simulation with the successive-conditional sampler.
 
     Both simulators target the same joint law of (hyperparameters, states,
     data); moment mismatches beyond MC error expose bugs in the full
-    conditionals. ``mutate`` deliberately breaks one Hastings correction
-    ("variance-hastings" or "correlation-hastings") so tests can confirm
-    the harness has teeth. Restricted to tiny models (n <= 8, q <= 2; the
-    correlation prior is only ancestrally tractable at q = 2).
+    conditionals. Restricted to tiny models, n <= 8 and q <= 2: the
+    ancestral draw samples the correlation only at q = 2, where the
+    marginally-uniform prior is uniform on (-1, 1). That limit is this
+    harness's own; at any q the prior can be drawn exactly by normalising an
+    inverse-Wishart(q + 1, I) draw to a correlation matrix (Barnard,
+    McCulloch and Meng 2000, Statistica Sinica).
     """
     pis = np.asarray(pis, dtype=float)
     n = len(pis)
     if n > 8 or schema.q > 2:
         raise ValueError("harness is restricted to n <= 8 and q <= 2")
-    if mutate not in (None, "variance-hastings", "correlation-hastings"):
-        raise ValueError(f"unknown mutation {mutate!r}")
-    variance_hastings = mutate != "variance-hastings"
-    correlation_hastings = mutate != "correlation-hastings"
 
     rng = np.random.default_rng(seed)
     free_idx = np.flatnonzero(schema.free_mask())
@@ -670,9 +608,7 @@ def geweke_joint_test(schema: Schema, config: SamplerConfig, draws: int,
 
     suc = np.empty((draws, len(names)))
     for m in range(draws):
-        gibbs_sweep(latents, mixture, cov, base, hyper, config.var_scale, pis, rng,
-                    variance_hastings=variance_hastings,
-                    correlation_hastings=correlation_hastings)
+        gibbs_sweep(latents, mixture, cov, base, hyper, config.var_scale, pis, rng)
         z = _draw_latents(mixture, cov, config.var_scale, pis, rng)
         values = _encode_observed(z, schema)
         dataset = Dataset(values=values, weights=1.0 / pis)

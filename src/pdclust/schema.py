@@ -31,6 +31,13 @@ class SchemaError(ValueError):
     """Invalid variable declaration or layout request."""
 
 
+class ChainInvariantError(AssertionError):
+    """A chain state failed one of its runtime consistency checks.
+
+    Raised, not asserted, so that the checks also run under ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """Declaration of one observed variable.

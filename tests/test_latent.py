@@ -4,12 +4,11 @@ from scipy import stats
 from scipy.special import ndtr
 
 from pdclust import (Dataset, TransformSpec, build_schema, conditional_moments,
-                     continuous_spec, decode_nominal, decode_ordinal,
-                     initial_latents, nominal_spec, ordinal_spec,
-                     transform_continuous)
+                     continuous_spec, decode_ordinal, initial_latents, nominal_spec,
+                     ordinal_spec, transform_continuous)
 from pdclust.covariance import CovarianceState
-from pdclust.latent import (fit_transforms, linear_quantile, resample_latents,
-                            sample_truncated_normal_many)
+from pdclust.latent import (decode_nominal_rows, fit_transforms, linear_quantile,
+                            resample_latents, sample_truncated_normal_many)
 from pdclust.sampler import MixtureState
 
 
@@ -72,29 +71,32 @@ class TestDecode:
         assert decode_ordinal(4.0, [-np.inf, 0, 4, np.inf]) == 1
 
     def test_nominal_examples(self):
-        assert decode_nominal([-1.0, -2.0, -0.5]) == 3
-        assert decode_nominal([0.5, -1.0]) == 0
-        assert decode_nominal([0.2, 0.9, 0.1]) == 1
+        assert decode_nominal_rows(np.array([[-1.0, -2.0, -0.5]])).tolist() == [3]
+        assert decode_nominal_rows(np.array([[0.5, -1.0]])).tolist() == [0]
+        assert decode_nominal_rows(np.array([[0.2, 0.9, 0.1]])).tolist() == [1]
 
     def test_nominal_tie_breaks_to_lowest_index(self):
-        assert decode_nominal([0.7, 0.7]) == 0
+        assert decode_nominal_rows(np.array([[0.7, 0.7]])).tolist() == [0]
 
 
 class TestConditionalMoments:
     def test_identity_covariance(self):
         sigma = np.eye(3)
-        nu, v = conditional_moments(sigma, [1.0, 2.0, 3.0], [9.0, 9.0, 9.0], 1, 1.0)
+        nu, v = conditional_moments(np.linalg.inv(sigma), np.array([1.0, 2.0, 3.0]),
+                                    np.array([9.0, 9.0, 9.0]), 1, 1.0)
         assert nu == 2.0 and v == 1.0
 
     def test_bivariate_closed_form(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        nu, v = conditional_moments(sigma, [0.0, 0.0], [123.0, 1.0], 0, 1.0)
+        nu, v = conditional_moments(np.linalg.inv(sigma), np.array([0.0, 0.0]),
+                                    np.array([123.0, 1.0]), 0, 1.0)
         assert np.isclose(nu, 0.5) and np.isclose(v, 0.75)
 
     def test_scale_multiplies_variance_not_mean(self):
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        nu1, v1 = conditional_moments(sigma, [0.0, 1.0], [0.0, 2.0], 0, 1.0)
-        nu2, v2 = conditional_moments(sigma, [0.0, 1.0], [0.0, 2.0], 0, 2.5)
+        prec, mu, z = np.linalg.inv(sigma), np.array([0.0, 1.0]), np.array([0.0, 2.0])
+        nu1, v1 = conditional_moments(prec, mu, z, 0, 1.0)
+        nu2, v2 = conditional_moments(prec, mu, z, 0, 2.5)
         assert nu1 == nu2 and np.isclose(v2, 2.5 * v1)
 
     @pytest.mark.parametrize("trial", range(5))
@@ -121,16 +123,9 @@ class TestConditionalMoments:
         mean = np.trapezoid(w * grid, grid)
         var = np.trapezoid(w * (grid - mean) ** 2, grid)
 
-        nu, v = conditional_moments(sigma, mu, z, coord, scale)
+        nu, v = conditional_moments(np.linalg.inv(sigma), mu, z, coord, scale)
         assert abs(nu - mean) < 1e-6 * max(1.0, abs(mean))
         assert abs(v - var) < 1e-6 * max(1.0, var)
-
-    def test_singular_block_raises(self):
-        sigma = np.ones((2, 2))  # rank one
-        sigma[1, 1] = 1.0
-        with pytest.raises(np.linalg.LinAlgError):
-            conditional_moments(np.array([[1.0, 1.0], [1.0, 1.0]]),
-                                [0.0, 0.0], [0.0, 0.0], 0, 1.0)
 
 
 class TestTruncatedNormal:

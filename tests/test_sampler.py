@@ -1,21 +1,27 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from pdclust import (BaseMeasure, Dataset, PDHyper, PriorConstants, SamplerConfig,
-                     build_schema, continuous_spec, fit_transforms, gen_study1, gen_study2,
-                     geweke_joint_test, initial_latents, load_checkpoint, ordinal_spec,
-                     run_chain, save_checkpoint, scenario_sampler_settings,
-                     scenario_variable_specs)
+import pdclust
+from pdclust import (BaseMeasure, ChainInvariantError, Dataset, PDHyper, PriorConstants,
+                     SamplerConfig, TuningConstants, build_schema, continuous_spec,
+                     fit_transforms, gen_study1, gen_study2, geweke_joint_test,
+                     initial_latents, nominal_spec, ordinal_spec, run_chain,
+                     scenario_sampler_settings, scenario_variable_specs)
 from pdclust.covariance import (CovarianceState, chol_logdet, correlation_support,
                                 scatter_matrix, update_variance)
 from pdclust.latent import LatentState, resample_latents
 from pdclust.pdprocess import update_base_scales, update_discount, update_strength
-from pdclust.sampler import (MixtureState, UrnTables, _location_posterior, effective_pis,
-                             gibbs_sweep, init_states, update_mu_i, update_unique_mus,
-                             urn_sweep_terms)
+from pdclust.sampler import (MixtureState, UrnTables, _ancestral_draw, _location_posterior,
+                             effective_pis, gibbs_sweep, init_states, update_mu_i,
+                             update_unique_mus, urn_sweep_terms)
 from pdclust.simgen import STUDY1, ScenarioSpec
 
 PRIOR_C = PriorConstants(var_prior_shape=2.1, var_prior_scale=30.0,
@@ -220,45 +226,87 @@ class TestSweepAndChain:
         assert np.allclose(effective_pis(ds, "design"), [0.5, 0.25])
 
 
-class TestCheckpoint:
-    def test_round_trip_continues_bit_exactly(self, tmp_path):
-        ds, _ = gen_study1(ScenarioSpec("III", seed=8))
-        schema = build_schema(scenario_variable_specs("III"))
-        cfg = SamplerConfig(iterations=10, burnin=1, weight_mode="ignore",
-                            priors=PRIOR_C, seed=5)
-        from pdclust.latent import fit_transforms
-        fitted = fit_transforms(schema, ds)
-        latents = initial_latents(ds, fitted)
-        mixture, cov, base, hyper = init_states(latents, fitted, cfg)
-        rng = np.random.default_rng(cfg.seed)
-        pis = np.ones(ds.n)
-        for _ in range(4):
-            gibbs_sweep(latents, mixture, cov, base, hyper, 1.0, pis, rng)
+#: Where the built states keep each prior and tuning constant of a SamplerConfig.
+BUILT_FROM = {
+    "discount_zero_prob": ("hyper", "discount_zero_prob"),
+    "discount_beta1": ("hyper", "discount_beta1"),
+    "discount_beta2": ("hyper", "discount_beta2"),
+    "strength_shape": ("hyper", "strength_shape"),
+    "strength_rate": ("hyper", "strength_rate"),
+    "strength_step": ("hyper", "strength_step"),
+    "var_prior_shape": ("cov", "var_prior_shape"),
+    "var_prior_scale": ("cov", "var_prior_scale"),
+    "var_proposal_shape": ("cov", "var_proposal_shape"),
+    "corr_window_frac": ("cov", "corr_window_frac"),
+    "base_prior_shape": ("base", "prior_shape"),
+    "base_prior_scale": ("base", "prior_scale"),
+}
 
-        path = tmp_path / "chain.npz"
-        save_checkpoint(path, latents, mixture, cov, base, hyper, rng, sweep=4)
-        for _ in range(3):
-            gibbs_sweep(latents, mixture, cov, base, hyper, 1.0, pis, rng)
 
-        l2, m2, c2, b2, h2, rng2, sweep = load_checkpoint(path, ds, fitted, cfg)
-        assert sweep == 4
-        for _ in range(3):
-            gibbs_sweep(l2, m2, c2, b2, h2, 1.0, pis, rng2)
+class TestStateBuilder:
+    def test_every_config_constant_reaches_the_states(self):
+        priors = PriorConstants(discount_zero_prob=0.3, discount_beta1=1.5,
+                                discount_beta2=2.5, strength_shape=3.5, strength_rate=0.7,
+                                var_prior_shape=2.2, var_prior_scale=3.3,
+                                base_prior_shape=4.4, base_prior_scale=5.5)
+        tuning = TuningConstants(var_proposal_shape=7.0, corr_window_frac=3.0,
+                                 strength_step=1.25)
+        constants = {**dataclasses.asdict(priors), **dataclasses.asdict(tuning)}
+        defaults = {**dataclasses.asdict(PriorConstants()),
+                    **dataclasses.asdict(TuningConstants())}
+        assert set(constants) == set(BUILT_FROM)
+        assert all(constants[name] != defaults[name] for name in constants)
 
-        assert np.array_equal(latents.z, l2.z)
-        assert np.array_equal(mixture.labels, m2.labels)
-        assert np.array_equal(mixture.mus, m2.mus)
-        assert np.array_equal(cov.corr, c2.corr)
-        assert hyper.discount == h2.discount and hyper.strength == h2.strength
-        assert rng.bit_generator.state == rng2.bit_generator.state
+        cfg = SamplerConfig(iterations=2, burnin=1, priors=priors, tuning=tuning)
+        schema = build_schema([continuous_spec("y1"), ordinal_spec("y2", 2)])
+        ds = Dataset.from_values([[0.5, 0.0], [1.5, 1.0], [-0.2, 1.0]])
+        mixture, cov, base, hyper = init_states(initial_latents(ds, schema), schema, cfg)
+        drawn = _ancestral_draw(schema, cfg, np.ones(3), np.random.default_rng(0))[:4]
+        for built in ((mixture, cov, base, hyper), drawn):
+            states = dict(zip(("mixture", "cov", "base", "hyper"), built))
+            for name, (owner, attr) in BUILT_FROM.items():
+                assert getattr(states[owner], attr) == constants[name], name
 
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, version=np.int64(99))
-        ds = Dataset.from_values([[0.0]])
-        schema = build_schema([continuous_spec("y")])
-        with pytest.raises(ValueError):
-            load_checkpoint(path, ds, schema, SamplerConfig(iterations=2, burnin=1))
+
+def _mixture_counts_off():
+    MixtureState(np.array([0, 0, 1]), np.zeros((2, 1)), np.array([2, 2])).check(3)
+
+
+def _covariance_not_symmetric():
+    cov = CovarianceState.create([True, True], 2.0, 2.0)
+    cov.corr[0, 1] = 0.3
+    cov.check()
+
+
+def _nominal_decode_drifted():
+    schema = build_schema([nominal_spec("y", 3)])
+    latents = initial_latents(Dataset.from_values([[0.0], [2.0]]), schema)
+    latents.z[0] = -1.0
+    latents.check_consistent()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_mixture_counts_off, "cluster counts do not sum to n"),
+    (_covariance_not_symmetric, "corr not symmetric"),
+    (_nominal_decode_drifted, "nominal decode mismatch for y"),
+], ids=["mixture", "covariance", "latent"])
+def test_state_checks_raise_chain_invariant_error(corrupt, message):
+    with pytest.raises(ChainInvariantError, match=message):
+        corrupt()
+
+
+def test_state_checks_survive_optimised_python():
+    # python -O strips assert statements; the checks must raise all the same
+    code = ("import numpy as np\n"
+            "from pdclust.sampler import MixtureState\n"
+            "try:\n"
+            "    MixtureState(np.array([0, 0]), np.zeros((1, 1)), np.array([3])).check(2)\n"
+            "except AssertionError as err:\n"
+            "    print(type(err).__name__, err)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(pdclust.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "ChainInvariantError cluster counts do not sum to n"
 
 
 class TestGewekeHarness:
@@ -278,12 +326,6 @@ class TestGewekeHarness:
         cfg = SamplerConfig(iterations=2, burnin=1)
         with pytest.raises(ValueError):
             geweke_joint_test(schema, cfg, draws=10)
-
-    def test_unknown_mutation_rejected(self):
-        schema = build_schema([continuous_spec("y")])
-        cfg = SamplerConfig(iterations=2, burnin=1)
-        with pytest.raises(ValueError):
-            geweke_joint_test(schema, cfg, draws=10, mutate="everything")
 
 
 def test_update_unique_mus_refreshes_all_clusters():
