@@ -86,20 +86,6 @@ class CovarianceState:
             raise ValueError("fixed coordinates must have unit standard deviation")
         self.refresh()
 
-    @classmethod
-    def create(cls, free_mask, var_prior_shape, var_prior_scale,
-               var_proposal_shape=5.0, corr_window_frac=4.0):
-        q = len(free_mask)
-        return cls(
-            sdevs=np.ones(q),
-            corr=np.eye(q),
-            free=np.asarray(free_mask, dtype=bool),
-            var_prior_shape=var_prior_shape,
-            var_prior_scale=var_prior_scale,
-            var_proposal_shape=var_proposal_shape,
-            corr_window_frac=corr_window_frac,
-        )
-
     @property
     def q(self) -> int:
         return self.sdevs.shape[0]

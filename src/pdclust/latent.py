@@ -109,12 +109,11 @@ def fit_transforms(schema: Schema, dataset: Dataset) -> Schema:
     return schema.with_variables(new_vars)
 
 
-def decode_ordinal(z, cutoffs) -> int | np.ndarray:
-    """Level index ``k`` with ``cutoffs[k] < z <= cutoffs[k+1]`` (0-based)."""
+def decode_ordinal(z, cutoffs) -> np.ndarray:
+    """Level index ``k`` of each entry, with ``cutoffs[k] < z <= cutoffs[k+1]`` (0-based)."""
     cutoffs = np.asarray(cutoffs, dtype=float)
     idx = np.searchsorted(cutoffs, z, side="left") - 1
-    idx = np.clip(idx, 0, len(cutoffs) - 2)
-    return idx if np.ndim(z) else int(idx)
+    return np.clip(idx, 0, len(cutoffs) - 2)
 
 
 def decode_nominal_rows(zblock: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ locations right after the memberships change.
 
 from __future__ import annotations
 
-import math
+import bisect
 import time
 from dataclasses import dataclass, field
 
@@ -173,6 +173,12 @@ def urn_sweep_terms(z, pis, var_scale, cov, base_var):
     return log_new, log_const
 
 
+#: Records weighed together by :meth:`UrnTables.choose`. The cached rows are
+#: dropped at every move, so a longer block wastes more rows on sweeps with
+#: many moves; 16 to 64 measured about the same on scenarios III and V.
+URN_BLOCK = 32
+
+
 class UrnTables:
     """Everything step (a) reads to weigh a record's urn choices, for one sweep.
 
@@ -181,25 +187,36 @@ class UrnTables:
     - ``log_join[k] = log(k - discount)`` and
       ``log_open[k] = log(strength + discount * k)`` for k = 1..n, the urn's
       log weights of joining a cluster of k records and of opening a new
-      cluster beside k others. Slot 0 is never read and holds NaN, so that
-      no log of a non-positive number is taken.
+      cluster beside k others. Slot 0 holds NaN, so that no log of a
+      non-positive number is taken; only the block row of a record alone in
+      its cluster reads it, and that row is never drawn from.
     - ``half_quad[i, j]``: half the quadratic form of z_i about location j
       under the kernel c_i sigma, ``((z_i - mu_j) sigma^-1 (z_i - mu_j)') /
       (2 c_i)``, one column per cluster in the order of ``mixture.mus``.
+    - A block of cached rows: the normalised cumulative urn weights of up to
+      :data:`URN_BLOCK` consecutive records (:meth:`choose`), each computed
+      from the current counts with that record counted out of its own
+      cluster.
 
     Step (a) changes none of the latents, sigma, the base variances,
     ``var_scale``, the pis, the discount or the strength, and it moves no
     existing location: it only deletes a location when a cluster dies and
     appends one when a cluster is born. So the tables stay valid for the
     whole step as long as :meth:`drop` and :meth:`add` follow
-    ``MixtureState.remove_cluster`` and ``add_cluster``.
+    ``MixtureState.remove_cluster`` and ``add_cluster``. A cached row depends
+    on the partition as well, and a record that stays in its own cluster
+    leaves the partition exactly as it was, so the rows stay valid until a
+    record moves, a cluster is born or a cluster dies: :meth:`drop`,
+    :meth:`add` and :meth:`forget_rows` drop them.
 
     The quadratic forms use the same stacked matmul, product, sum and
     division as a per-record computation would. With OpenBLAS they equal it
     bit for bit at q <= 3. At q >= 4 a row's rounding can depend on how many
     locations share the product (one new location goes through a
     matrix-vector product), so a column appended at a birth may differ from
-    the per-record value in its last bit.
+    the per-record value in its last bit. The block's last-axis ``exp``,
+    ``sum`` and ``cumsum`` of a C-contiguous array give each row the same
+    values as the same calls on that row alone.
     """
 
     def __init__(self, z, pis, var_scale, cov, base_var, hyper, mus):
@@ -214,6 +231,7 @@ class UrnTables:
         self.log_open = np.full(n + 1, np.nan)
         self.log_open[1:] = np.log(hyper.strength + hyper.discount * k)
         self.half_quad = self._half_quad(mus)
+        self.forget_rows()
 
     def _half_quad(self, mus):
         """(n, len(mus)) half quadratic forms, one stacked matmul per record."""
@@ -223,49 +241,91 @@ class UrnTables:
     def drop(self, j: int):
         """Forget location ``j``, as ``MixtureState.remove_cluster(j)`` does."""
         self.half_quad = np.delete(self.half_quad, j, axis=1)
+        self.forget_rows()
 
     def add(self, mu: np.ndarray):
         """Append a column for a new location, as ``MixtureState.add_cluster`` does."""
         self.half_quad = np.hstack([self.half_quad, self._half_quad(mu[None, :])])
+        self.forget_rows()
+
+    def forget_rows(self):
+        """Drop the cached rows; call it whenever the partition changes."""
+        self._rows = range(0)
+
+    def _weigh(self, start: int, mixture: MixtureState):
+        """Cache the rows of a block of records that begins at ``start``.
+
+        A record whose label is -1 has been detached already and is weighed
+        as a block of one row; otherwise the block runs over up to
+        :data:`URN_BLOCK` records, each counted out of its own cluster.
+        Entry 0 of a row opens a new cluster and entry j + 1 joins
+        cluster j.
+        """
+        labels, counts = mixture.labels, mixture.counts
+        r = counts.size
+        detached = labels[start] < 0
+        stop = start + 1 if detached else min(start + URN_BLOCK, labels.size)
+        rows = slice(start, stop)
+        per_row = counts if detached else counts - (labels[rows, None] == np.arange(r))
+        logd = np.empty((stop - start, r + 1))
+        logd[:, 1:] = self.log_join[per_row] + self.log_const[rows, None] - self.half_quad[rows]
+        logd[:, 0] = self.log_open[r] + self.log_new[rows]
+
+        # a row that is not finite warns nothing here: its record raises at its turn
+        with np.errstate(invalid="ignore"):
+            p = np.exp(logd - logd.max(axis=1, keepdims=True))
+        total = p.sum(axis=1)
+        p /= total[:, None]
+        self._rows = range(start, stop)
+        self._finite = np.isfinite(total).tolist()
+        self._cum = p.cumsum(axis=1).tolist()
+
+    def choose(self, i: int, mixture: MixtureState, rng) -> int:
+        """Draw record ``i``'s urn choice: 0 opens a new cluster, j + 1 joins cluster j.
+
+        Reads the record's cached row, weighing a new block first when the
+        row is not cached. Draws one uniform, after checking that the row's
+        weights are finite; raises ``FloatingPointError`` naming the record
+        when they are not. ``bisect_left`` on the cumulative weights is
+        ``searchsorted`` on them, and the last cluster takes any uniform
+        above them.
+        """
+        if i not in self._rows:
+            self._weigh(i, mixture)
+        k = i - self._rows.start
+        if not self._finite[k]:
+            raise FloatingPointError(f"membership weights of record {i} are not finite")
+        cum = self._cum[k]
+        return min(bisect.bisect_left(cum, rng.random()), len(cum) - 1)
 
 
 def update_mu_i(i, latents, mixture, cov, base, pi_i, var_scale, rng, tables):
     """Collapsed urn reassignment of record ``i`` (conditional (a)).
 
-    Detaches the record, weighs opening a fresh cluster against each
-    existing one in log space, and either joins a cluster or draws a new
-    location from its Gaussian posterior. Every term of the weights is read
-    from ``tables``, an :class:`UrnTables` built for the current sweep: the
-    urn's log weights by cluster count and by the number of other clusters,
-    record ``i``'s constants, and its half quadratic forms about each
-    location. A cluster death or birth is passed on to the tables. Raises
-    ``FloatingPointError`` naming the record when its membership weights are
-    not finite.
+    Weighs opening a fresh cluster against each existing one in log space,
+    with the record detached, and either leaves the record where it is,
+    joins another cluster or draws a new location from its Gaussian
+    posterior. The weights are read from ``tables``, an :class:`UrnTables`
+    built for the current sweep, which computes them for a block of records
+    at once and keeps them until the partition changes: a record that stays
+    returns without changing anything, and a move, birth or death drops the
+    cached rows. A record alone in its cluster is detached first, so its
+    cluster dies before it is weighed. Raises ``FloatingPointError`` naming
+    the record when its membership weights are not finite.
     """
     old = mixture.labels[i]
-    mixture.labels[i] = -1
-    mixture.counts[old] -= 1
-    if mixture.counts[old] == 0:
+    if mixture.counts[old] > 1:
+        idx = tables.choose(i, mixture, rng)
+        if idx == old + 1:
+            return mixture
+        mixture.counts[old] -= 1
+    else:
+        mixture.labels[i] = -1
         mixture.remove_cluster(old)
         tables.drop(old)
+        idx = tables.choose(i, mixture, rng) if mixture.r else 0
 
-    r_i = mixture.r
-    open_new = r_i == 0
-    if not open_new:
-        logd = np.empty(r_i + 1)
-        logd[1:] = tables.log_join[mixture.counts] + tables.log_const[i] - tables.half_quad[i]
-        logd[0] = tables.log_open[r_i] + tables.log_new[i]
-
-        p = np.exp(logd - logd.max())
-        total = p.sum()
-        if not math.isfinite(total):
-            raise FloatingPointError(f"membership weights of record {i} are not finite")
-        p /= total
-        idx = int(p.cumsum().searchsorted(rng.random()))
-        idx = min(idx, r_i)
-        open_new = idx == 0
-
-    if open_new:
+    if idx == 0:
         z_i = latents.z[i]
         w_i = 1.0 / pi_i
         nu, V = _location_posterior(
@@ -278,6 +338,7 @@ def update_mu_i(i, latents, mixture, cov, base, pi_i, var_scale, rng, tables):
         j = idx - 1
         mixture.labels[i] = j
         mixture.counts[j] += 1
+        tables.forget_rows()
     return mixture
 
 
@@ -303,7 +364,12 @@ def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng):
     every location. The tables stay valid through the step: it leaves the
     latents, sigma, the base variances, ``var_scale``, the pis and the PD
     hyperparameters as they were and moves no existing location, and its
-    births and deaths update the tables as they happen.
+    births and deaths update the tables as they happen. The loop still
+    calls :func:`update_mu_i` once per record, in order, but the weights
+    are normalised for a block of records at once: most records stay where
+    they are, which leaves the partition and so every cached row as it was,
+    and the rows are weighed again only after a record moves, a cluster is
+    born or a cluster dies.
     """
     n, q = latents.z.shape
     tables = UrnTables(latents.z, pis, var_scale, cov, base.base_var, hyper, mixture.mus)

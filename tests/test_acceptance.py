@@ -222,7 +222,7 @@ class TestCriterion07SamplerCorrectness:
 
 class TestCriterion08PriorRecovery:
     def test_correlation_marginals_uniform(self):
-        state = CovarianceState.create([True] * 3, 2.0, 2.0)
+        state = CovarianceState(np.ones(3), np.eye(3), [True] * 3, 2.0, 2.0)
         rng = np.random.default_rng(42)
         kept = []
         for t in range(100_000):
@@ -276,7 +276,7 @@ class TestCriterion08PriorRecovery:
         # invariant, every endpoint is exactly prior-distributed and the
         # endpoints are iid, however slowly a single chain mixes.
         prior = stats.invgamma(a=2.5, scale=8.0)
-        state = CovarianceState.create([True], 2.5, 8.0)
+        state = CovarianceState(np.ones(1), np.eye(1), [True], 2.5, 8.0)
         rng = np.random.default_rng(10)
         starts = prior.rvs(size=3000, random_state=rng)
         ends = np.empty_like(starts)
@@ -333,7 +333,7 @@ class TestCriterion09OracleEquivalences:
 
     def test_variance_chain_matches_direct_inverse_gamma(self):
         d0, d1, n, s11 = 2.1, 30.0, 40, 55.0
-        state = CovarianceState.create([True], d0, d1)
+        state = CovarianceState(np.ones(1), np.eye(1), [True], d0, d1)
         scatter = np.array([[s11]])
         rng = np.random.default_rng(12)
         trace = np.empty(100_000)

@@ -63,12 +63,12 @@ class TestTransforms:
 
 class TestDecode:
     def test_ordinal_examples(self):
-        assert decode_ordinal(2.0, [-np.inf, 0, 4, np.inf]) == 1
-        assert decode_ordinal(-0.3, [-np.inf, 0, np.inf]) == 0
+        assert decode_ordinal(np.array([2.0]), [-np.inf, 0, 4, np.inf]).tolist() == [1]
+        assert decode_ordinal(np.array([-0.3]), [-np.inf, 0, np.inf]).tolist() == [0]
 
     def test_ordinal_boundary_is_right_closed(self):
-        assert decode_ordinal(0.0, [-np.inf, 0, np.inf]) == 0
-        assert decode_ordinal(4.0, [-np.inf, 0, 4, np.inf]) == 1
+        assert decode_ordinal(np.array([0.0]), [-np.inf, 0, np.inf]).tolist() == [0]
+        assert decode_ordinal(np.array([4.0]), [-np.inf, 0, 4, np.inf]).tolist() == [1]
 
     def test_nominal_examples(self):
         assert decode_nominal_rows(np.array([[-1.0, -2.0, -0.5]])).tolist() == [3]
@@ -204,7 +204,7 @@ class TestResampleLatents:
         state = initial_latents(ds, schema)
         before = state.z.copy()
         mixture = MixtureState.singletons(state.z)
-        cov = CovarianceState.create(schema.free_mask(), 2.0, 2.0)
+        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
         resample_latents(state, mixture, cov, 1.0, np.ones(30), rng)
         assert np.array_equal(state.z, before)
 
@@ -212,7 +212,7 @@ class TestResampleLatents:
         schema, ds, rng = binary_state()
         state = initial_latents(ds, schema)
         mixture = MixtureState.singletons(np.zeros_like(state.z))
-        cov = CovarianceState.create(schema.free_mask(), 2.0, 2.0)
+        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
         for _ in range(3):
             resample_latents(state, mixture, cov, 1.0, np.ones(ds.n), rng)
         ones = ds.values[:, 0] == 1.0
@@ -235,7 +235,7 @@ class TestResampleLatents:
         state = initial_latents(ds, schema)
         state.check_consistent()
         mixture = MixtureState.singletons(state.z * 0.5)
-        cov = CovarianceState.create(schema.free_mask(), 2.0, 2.0)
+        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
         pis = rng.uniform(0.5, 1.0, n)
         for _ in range(10):
             resample_latents(state, mixture, cov, 1.3, pis, rng)
@@ -250,7 +250,7 @@ class TestResampleLatents:
         ds = Dataset.from_values(rng.integers(0, 5, (n, 1)).astype(float))
         state = initial_latents(ds, schema)
         mixture = MixtureState.singletons(np.zeros_like(state.z))
-        cov = CovarianceState.create(schema.free_mask(), 2.0, 2.0)
+        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
         for _ in range(5):
             resample_latents(state, mixture, cov, 1.0, np.ones(n), rng)
         for i in range(n):

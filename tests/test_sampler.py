@@ -20,8 +20,8 @@ from pdclust.covariance import (CovarianceState, chol_logdet, correlation_suppor
 from pdclust.latent import LatentState, resample_latents
 from pdclust.pdprocess import update_base_scales, update_discount, update_strength
 from pdclust.sampler import (MixtureState, UrnTables, _ancestral_draw, _location_posterior,
-                             effective_pis, gibbs_sweep, init_states, update_mu_i,
-                             update_unique_mus, urn_sweep_terms)
+                             URN_BLOCK, effective_pis, gibbs_sweep, init_states,
+                             update_mu_i, update_unique_mus, urn_sweep_terms)
 from pdclust.simgen import STUDY1, ScenarioSpec
 
 PRIOR_C = PriorConstants(var_prior_shape=2.1, var_prior_scale=30.0,
@@ -36,7 +36,7 @@ def tiny_states(n=6, q=1, seed=0, z=None):
     ds = Dataset.from_values(z.copy())
     latents = LatentState(z=z.copy(), dataset=ds, schema=schema)
     mixture = MixtureState.singletons(z)
-    cov = CovarianceState.create(schema.free_mask(), 2.0, 2.0)
+    cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
     base = BaseMeasure(np.ones(q), 2.0, 2.0)
     hyper = PDHyper(0.0, 1.0)
     return latents, mixture, cov, base, hyper, rng
@@ -273,7 +273,7 @@ def _mixture_counts_off():
 
 
 def _covariance_not_symmetric():
-    cov = CovarianceState.create([True, True], 2.0, 2.0)
+    cov = CovarianceState(np.ones(2), np.eye(2), [True, True], 2.0, 2.0)
     cov.corr[0, 1] = 0.3
     cov.check()
 
@@ -523,27 +523,107 @@ def test_quadratic_table_tracks_births_and_deaths(q):
     assert checked > 0
 
 
-def test_urn_passes_match_reference_on_random_partitions():
-    # clusters of many sizes and close locations, so that every urn weight
-    # competes and a wrong count, constant or quadratic form moves a draw
-    n, q = 40, 3
-    rng = np.random.default_rng(31)
-    for trial in range(60):
-        latents, _, cov, base, hyper, _ = tiny_states(n=n, q=q, seed=trial)
-        hyper.discount, hyper.strength = rng.choice([0.0, 0.4]), rng.uniform(0.5, 3.0)
-        pis = rng.uniform(0.3, 1.0, n)
-        _, labels = np.unique(rng.integers(0, rng.integers(1, 9), n), return_inverse=True)
-        counts = np.bincount(labels)
-        mus = latents.z[rng.choice(n, counts.size)] + 0.3 * rng.standard_normal((counts.size, q))
-        new = MixtureState(labels.copy(), mus.copy(), counts.copy())
-        ref = MixtureState(labels.copy(), mus.copy(), counts.copy())
-        rng_new, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
-        tables = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, new.mus)
-        log_new, log_const = urn_sweep_terms(latents.z, pis, 1.0, cov, base.base_var)
-        for i in range(n):
-            update_mu_i(i, latents, new, cov, base, pis[i], 1.0, rng_new, tables)
-            reference_update_mu_i(i, latents, ref, cov, base, hyper, pis[i], 1.0, rng_ref,
-                                  log_new[i], log_const[i])
+def urn_pass_against_reference(latents, cov, base, hyper, pis, labels, mus, seed, stop=None):
+    """Step (a) over records 0..stop-1 by update_mu_i and by the reference.
+
+    Both start from the same partition and generator seed, and after every
+    record their labels, counts and locations must be equal. Returns the
+    tables, both mixtures and both generators, and each record's turn as
+    ``(row of its block, alone, moved, row length)``.
+    """
+    counts = np.bincount(labels)
+    new = MixtureState(labels.copy(), mus.copy(), counts.copy())
+    ref = MixtureState(labels.copy(), mus.copy(), counts.copy())
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    tables = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, new.mus)
+    log_new, log_const = urn_sweep_terms(latents.z, pis, 1.0, cov, base.base_var)
+    turns = []
+    for i in range(len(labels) if stop is None else stop):
+        row = i - tables._rows.start if i in tables._rows else 0
+        old, alone = new.labels[i], new.counts[new.labels[i]] == 1
+        length = new.r + (not alone)
+        update_mu_i(i, latents, new, cov, base, pis[i], 1.0, rng_new, tables)
+        reference_update_mu_i(i, latents, ref, cov, base, hyper, pis[i], 1.0, rng_ref,
+                              log_new[i], log_const[i])
         assert np.array_equal(new.labels, ref.labels)
         assert np.array_equal(new.counts, ref.counts)
         assert np.array_equal(new.mus, ref.mus)
+        turns.append((row, alone, alone or new.labels[i] != old, length))
+    return tables, (new, rng_new), (ref, rng_ref), turns
+
+
+def random_partition(rng, n, q, clusters, trial):
+    """Clusters of many sizes and close locations, so that every urn weight competes."""
+    latents, _, cov, base, hyper, _ = tiny_states(n=n, q=q, seed=trial)
+    hyper.discount, hyper.strength = rng.choice([0.0, 0.4]), rng.uniform(0.5, 3.0)
+    pis = rng.uniform(0.3, 1.0, n)
+    _, labels = np.unique(rng.integers(0, rng.integers(*clusters), n), return_inverse=True)
+    counts = np.bincount(labels)
+    mus = latents.z[rng.choice(n, counts.size)] + 0.3 * rng.standard_normal((counts.size, q))
+    return latents, cov, base, hyper, pis, labels, mus
+
+
+def separated_partition(trial, movers=(), singleton=None):
+    """Nine far-apart clusters over more than two blocks of records.
+
+    Each record lies near its cluster's location, so it stays, except the
+    ``movers``, which start in the wrong cluster, and the ``singleton``,
+    which starts alone in the ninth cluster.
+    """
+    n, q, r = 2 * URN_BLOCK + 9, 3, 9
+    rng = np.random.default_rng(100 + trial)
+    latents, _, cov, base, hyper, _ = tiny_states(n=n, q=q, seed=trial)
+    hyper.discount, hyper.strength = (0.0, 0.4)[trial % 2], 1.5
+    mus = 6.0 * rng.standard_normal((r, q))
+    labels = np.arange(n) % (r - 1)
+    if singleton is not None:
+        labels[singleton] = r - 1
+    latents.z[:] = mus[labels] + 0.2 * rng.standard_normal((n, q))
+    for i in movers:
+        labels[i] = (labels[i] + 1) % (r - 1)
+    return latents, cov, base, hyper, rng.uniform(0.3, 1.0, n), labels, mus[:labels.max() + 1]
+
+
+@pytest.mark.parametrize("case", ["random", "two-blocks", "many-clusters", "block-edges"])
+def test_urn_passes_match_reference_on_random_partitions(case):
+    rng = np.random.default_rng(31)
+    turns = []
+    for trial in range(60 if case == "random" else 10):
+        if case == "random":
+            state = random_partition(rng, 40, 3, (1, 9), trial)
+        elif case == "two-blocks":
+            state = random_partition(rng, 2 * URN_BLOCK + 9, 3, (1, 9), trial)
+        elif case == "many-clusters":
+            state = random_partition(rng, 60, 2, (9, 17), trial)
+        else:
+            state = separated_partition(trial, movers=(0, URN_BLOCK), singleton=URN_BLOCK + 5)
+        trial_turns = urn_pass_against_reference(*state, seed=trial)[3]
+        # records past the second block are read from a block of several rows
+        assert case != "two-blocks" or any(row > 0 for row, *_ in trial_turns[2 * URN_BLOCK:])
+        turns += trial_turns
+    if case == "many-clusters":
+        # a row of nine or more entries takes numpy's 8-way pairwise sum
+        assert any(row > 0 and length >= 9 for row, alone, _, length in turns)
+    elif case == "block-edges":
+        assert any(row == 0 and moved and not alone for row, alone, moved, _ in turns)
+        assert any(row == URN_BLOCK - 1 and moved and not alone
+                   for row, alone, moved, _ in turns)
+        assert any(row > 0 and alone for row, alone, _, _ in turns)
+
+
+def test_non_finite_row_raises_at_its_turn_inside_a_block():
+    bad = URN_BLOCK // 2
+    latents, cov, base, hyper, pis, labels, mus = separated_partition(0)
+    latents.z[bad] = np.nan
+    tables, (new, rng_new), (ref, rng_ref), turns = urn_pass_against_reference(
+        latents, cov, base, hyper, pis, labels, mus, seed=5, stop=bad)
+    assert not any(moved for *_, moved, _ in turns)
+    assert bad in tables._rows and bad > tables._rows.start
+    with pytest.raises(FloatingPointError, match=f"record {bad} "):
+        update_mu_i(bad, latents, new, cov, base, pis[bad], 1.0, rng_new, tables)
+    log_new, log_const = urn_sweep_terms(latents.z, pis, 1.0, cov, base.base_var)
+    with pytest.raises(FloatingPointError, match=f"record {bad} "):
+        reference_update_mu_i(bad, latents, ref, cov, base, hyper, pis[bad], 1.0, rng_ref,
+                              log_new[bad], log_const[bad])
+    # neither drew a uniform for the record that raised
+    assert rng_new.random() == rng_ref.random()
