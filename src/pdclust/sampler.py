@@ -255,18 +255,17 @@ class UrnTables:
     def _weigh(self, start: int, mixture: MixtureState):
         """Cache the rows of a block of records that begins at ``start``.
 
-        A record whose label is -1 has been detached already and is weighed
-        as a block of one row; otherwise the block runs over up to
-        :data:`URN_BLOCK` records, each counted out of its own cluster.
-        Entry 0 of a row opens a new cluster and entry j + 1 joins
-        cluster j.
+        The block runs over up to :data:`URN_BLOCK` records, each counted
+        out of its own cluster. A record whose label is -1 has been detached
+        already and counts in no cluster; its draw always changes the
+        partition, so it is weighed as a block of one row. Entry 0 of a row
+        opens a new cluster and entry j + 1 joins cluster j.
         """
         labels, counts = mixture.labels, mixture.counts
         r = counts.size
-        detached = labels[start] < 0
-        stop = start + 1 if detached else min(start + URN_BLOCK, labels.size)
+        stop = start + 1 if labels[start] < 0 else min(start + URN_BLOCK, labels.size)
         rows = slice(start, stop)
-        per_row = counts if detached else counts - (labels[rows, None] == np.arange(r))
+        per_row = counts - (labels[rows, None] == np.arange(r))
         logd = np.empty((stop - start, r + 1))
         logd[:, 1:] = self.log_join[per_row] + self.log_const[rows, None] - self.half_quad[rows]
         logd[:, 0] = self.log_open[r] + self.log_new[rows]

@@ -584,31 +584,33 @@ def separated_partition(trial, movers=(), singleton=None):
     return latents, cov, base, hyper, rng.uniform(0.3, 1.0, n), labels, mus[:labels.max() + 1]
 
 
-@pytest.mark.parametrize("case", ["random", "two-blocks", "many-clusters", "block-edges"])
-def test_urn_passes_match_reference_on_random_partitions(case):
+def test_urn_passes_match_reference_on_random_partitions():
     rng = np.random.default_rng(31)
-    turns = []
-    for trial in range(60 if case == "random" else 10):
-        if case == "random":
-            state = random_partition(rng, 40, 3, (1, 9), trial)
-        elif case == "two-blocks":
-            state = random_partition(rng, 2 * URN_BLOCK + 9, 3, (1, 9), trial)
+    for case in ["random", "two-blocks", "many-clusters", "block-edges"]:
+        turns, past_two_blocks = [], []
+        for trial in range(60 if case == "random" else 10):
+            if case == "random":
+                state = random_partition(rng, 40, 3, (1, 9), trial)
+            elif case == "two-blocks":
+                state = random_partition(rng, 2 * URN_BLOCK + 9, 3, (1, 9), trial)
+            elif case == "many-clusters":
+                state = random_partition(rng, 60, 2, (9, 17), trial)
+            else:
+                state = separated_partition(trial, movers=(0, URN_BLOCK),
+                                            singleton=URN_BLOCK + 5)
+            trial_turns = urn_pass_against_reference(*state, seed=trial)[3]
+            turns += trial_turns
+            past_two_blocks += trial_turns[2 * URN_BLOCK:]
+        if case == "two-blocks":
+            assert any(row > 0 for row, *_ in past_two_blocks)
         elif case == "many-clusters":
-            state = random_partition(rng, 60, 2, (9, 17), trial)
-        else:
-            state = separated_partition(trial, movers=(0, URN_BLOCK), singleton=URN_BLOCK + 5)
-        trial_turns = urn_pass_against_reference(*state, seed=trial)[3]
-        # records past the second block are read from a block of several rows
-        assert case != "two-blocks" or any(row > 0 for row, *_ in trial_turns[2 * URN_BLOCK:])
-        turns += trial_turns
-    if case == "many-clusters":
-        # a row of nine or more entries takes numpy's 8-way pairwise sum
-        assert any(row > 0 and length >= 9 for row, alone, _, length in turns)
-    elif case == "block-edges":
-        assert any(row == 0 and moved and not alone for row, alone, moved, _ in turns)
-        assert any(row == URN_BLOCK - 1 and moved and not alone
-                   for row, alone, moved, _ in turns)
-        assert any(row > 0 and alone for row, alone, _, _ in turns)
+            # a row of nine or more entries takes numpy's 8-way pairwise sum
+            assert any(row > 0 and length >= 9 for row, alone, _, length in turns)
+        elif case == "block-edges":
+            assert any(row == 0 and moved and not alone for row, alone, moved, _ in turns)
+            assert any(row == URN_BLOCK - 1 and moved and not alone
+                       for row, alone, moved, _ in turns)
+            assert any(row > 0 and alone for row, alone, _, _ in turns)
 
 
 def test_non_finite_row_raises_at_its_turn_inside_a_block():
