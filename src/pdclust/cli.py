@@ -42,12 +42,22 @@ EXIT_RUNTIME = 3
 #: non-finite urn weights, and a stored-count mismatch in ``run_chain``.
 CHAIN_ABORTS = (AssertionError, np.linalg.LinAlgError, FloatingPointError, RuntimeError)
 
-#: Variance-prior presets: (var shape, var scale, base shape, base scale).
+#: Variance-prior presets: the values of ``_PRESET_KEYS``, in that order.
 PRESETS = {
     "A": (0.1, 0.1, 0.1, 0.1),
     "B": (1.0, 1.0, 1.0, 1.0),
     "C": (2.1, 30.0, 2.1, 30.0),
 }
+
+_PRESET_KEYS = ("var_prior_shape", "var_prior_scale", "base_prior_shape", "base_prior_scale")
+
+#: The model's prior and tuning constants, by field name, with their defaults.
+#: Each is a config key and a ``--flag``; a preset stands in for the defaults
+#: of the four variance-prior constants.
+_CONSTANTS = {f.name: f.default for cls in (PriorConstants, TuningConstants)
+              for f in dataclasses.fields(cls)}
+
+SELECTIONS = ("dahl", "min-hm")
 
 _CONFIG_DEFAULTS = {
     "data": None,
@@ -62,22 +72,11 @@ _CONFIG_DEFAULTS = {
     "weight_mode": "design",
     "var_scale": "wbar",
     "preset": "C",
-    "var_prior_shape": None,
-    "var_prior_scale": None,
-    "base_prior_shape": None,
-    "base_prior_scale": None,
-    "discount_zero_prob": 0.5,
-    "discount_beta1": 1.0,
-    "discount_beta2": 1.0,
-    "strength_shape": 1.0,
-    "strength_rate": 1.0,
-    "var_proposal_shape": 5.0,
-    "corr_window_frac": 4.0,
-    "strength_step": 2.0,
+    **_CONSTANTS,
+    **dict.fromkeys(_PRESET_KEYS),
     "selection": "dahl",
     "pool": False,
     "similarity_csv": False,
-    "runtime_checks": True,
 }
 
 
@@ -89,7 +88,11 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one ``run`` invocation."""
+    """Fully resolved settings for one ``run`` invocation.
+
+    The prior and tuning constants are the sampler's own
+    :class:`PriorConstants` and :class:`TuningConstants`, which check them.
+    """
 
     data: str | None
     schema: str | None
@@ -103,22 +106,11 @@ class RunConfig:
     weight_mode: str
     var_scale: str | float
     preset: str
-    var_prior_shape: float
-    var_prior_scale: float
-    base_prior_shape: float
-    base_prior_scale: float
-    discount_zero_prob: float
-    discount_beta1: float
-    discount_beta2: float
-    strength_shape: float
-    strength_rate: float
-    var_proposal_shape: float
-    corr_window_frac: float
-    strength_step: float
+    priors: PriorConstants
+    tuning: TuningConstants
     selection: str
     pool: bool
     similarity_csv: bool
-    runtime_checks: bool
 
     def sampler_config(self, wbar: float, seed: int | None = None) -> SamplerConfig:
         return SamplerConfig(
@@ -128,24 +120,15 @@ class RunConfig:
             var_scale=resolve_var_scale(self.var_scale, wbar),
             seed=self.seed if seed is None else seed,
             weight_mode=self.weight_mode,
-            priors=PriorConstants(
-                discount_zero_prob=self.discount_zero_prob,
-                discount_beta1=self.discount_beta1,
-                discount_beta2=self.discount_beta2,
-                strength_shape=self.strength_shape,
-                strength_rate=self.strength_rate,
-                var_prior_shape=self.var_prior_shape,
-                var_prior_scale=self.var_prior_scale,
-                base_prior_shape=self.base_prior_shape,
-                base_prior_scale=self.base_prior_scale,
-            ),
-            tuning=TuningConstants(
-                var_proposal_shape=self.var_proposal_shape,
-                corr_window_frac=self.corr_window_frac,
-                strength_step=self.strength_step,
-            ),
-            runtime_checks=self.runtime_checks,
+            priors=self.priors,
+            tuning=self.tuning,
         )
+
+    def as_mapping(self) -> dict:
+        """The settings under their config keys, in the order of the defaults."""
+        flat = {**vars(self), **dataclasses.asdict(self.priors),
+                **dataclasses.asdict(self.tuning)}
+        return {key: flat[key] for key in _CONFIG_DEFAULTS}
 
 
 def resolve_var_scale(rule, wbar: float) -> float:
@@ -169,49 +152,54 @@ def resolve_var_scale(rule, wbar: float) -> float:
             else:
                 value = float(text)
         except (ValueError, ZeroDivisionError):
-            raise CliError(EXIT_USAGE, f"cannot parse variance-scale rule {rule!r}") from None
+            raise CliError(EXIT_USAGE, f"cannot parse var_scale rule {rule!r}") from None
     if not value > 0:
-        raise CliError(EXIT_USAGE, f"variance scale must be positive, got {value}")
+        raise CliError(EXIT_USAGE, f"var_scale must be positive, got {value}")
     return value
 
 
+def _check_selection(selection) -> str:
+    if selection not in SELECTIONS:
+        raise CliError(EXIT_USAGE, f"unknown selection mode {selection!r}")
+    return selection
+
+
 def _build_run_config(mapping: dict) -> RunConfig:
-    merged = dict(_CONFIG_DEFAULTS)
-    unknown = set(mapping) - set(merged)
+    """Resolve a config mapping over the defaults and check every setting."""
+    unknown = set(mapping) - set(_CONFIG_DEFAULTS)
     if unknown:
         raise CliError(EXIT_USAGE, f"unknown config field(s): {', '.join(sorted(unknown))}")
-    merged.update({k: v for k, v in mapping.items() if v is not None})
+    merged = {**_CONFIG_DEFAULTS, **{k: v for k, v in mapping.items() if v is not None}}
 
     preset = merged["preset"]
-    if preset in PRESETS:
-        vs, vsc, bs, bsc = PRESETS[preset]
-        for key, val in (("var_prior_shape", vs), ("var_prior_scale", vsc),
-                         ("base_prior_shape", bs), ("base_prior_scale", bsc)):
-            if mapping.get(key) is None:
+    if preset != "custom":
+        if preset not in PRESETS:
+            raise CliError(EXIT_USAGE, f"unknown preset {preset!r} (A, B, C or custom)")
+        for key, val in zip(_PRESET_KEYS, PRESETS[preset]):
+            if merged[key] is None:
                 merged[key] = val
-    elif preset == "custom":
-        missing = [k for k in ("var_prior_shape", "var_prior_scale",
-                               "base_prior_shape", "base_prior_scale")
-                   if merged[k] is None]
-        if missing:
-            raise CliError(EXIT_USAGE,
-                           f"preset=custom needs explicit {', '.join(missing)}")
-    else:
-        raise CliError(EXIT_USAGE, f"unknown preset {preset!r} (A, B, C or custom)")
+    missing = [k for k in _PRESET_KEYS if merged[k] is None]
+    if missing:
+        raise CliError(EXIT_USAGE, f"preset=custom needs explicit {', '.join(missing)}")
 
-    if merged["selection"] not in ("dahl", "min-hm"):
-        raise CliError(EXIT_USAGE, f"unknown selection mode {merged['selection']!r}")
-    if merged["weight_mode"] not in ("ignore", "design"):
-        raise CliError(EXIT_USAGE, f"unknown weight mode {merged['weight_mode']!r}")
-    if merged["burnin"] >= merged["iterations"]:
-        raise CliError(EXIT_USAGE, "burn-in must be smaller than iterations")
-    if merged["thinning"] < 1 or merged["chains"] < 1 or merged["workers"] < 1:
-        raise CliError(EXIT_USAGE, "thinning, chains and workers must be >= 1")
-    return RunConfig(**merged)
+    _check_selection(merged["selection"])
+    for key in ("chains", "workers"):
+        value = merged[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise CliError(EXIT_USAGE, f"{key} must be an integer >= 1, got {value!r}")
+    try:
+        priors, tuning = (cls(**{f.name: merged.pop(f.name) for f in dataclasses.fields(cls)})
+                          for cls in (PriorConstants, TuningConstants))
+        cfg = RunConfig(priors=priors, tuning=tuning, **merged)
+        # A positive wbar scales the variance-scale rule but keeps its sign, so
+        # this checks every sampler setting before any input is read.
+        cfg.sampler_config(wbar=1.0)
+    except ValueError as err:
+        raise CliError(EXIT_USAGE, f"invalid config: {err}") from None
+    return cfg
 
 
-def parse_config(path) -> RunConfig:
-    """Load and validate a JSON config file."""
+def _read_config(path) -> dict:
     try:
         mapping = json.loads(Path(path).read_text())
     except OSError as err:
@@ -220,14 +208,18 @@ def parse_config(path) -> RunConfig:
         raise CliError(EXIT_USAGE, f"config {path} is not valid JSON: {err}") from None
     if not isinstance(mapping, dict):
         raise CliError(EXIT_USAGE, f"config {path} must hold a JSON object")
-    return _build_run_config(mapping)
+    return mapping
+
+
+def parse_config(path) -> RunConfig:
+    """Load and validate a JSON config file."""
+    return _build_run_config(_read_config(path))
 
 
 def _layered_config(args: argparse.Namespace) -> RunConfig:
-    mapping: dict = {}
-    if getattr(args, "config", None):
-        base = parse_config(args.config)
-        mapping.update(dataclasses.asdict(base))
+    """Flags over the config file's keys, resolved and checked once, so that a
+    flag's ``--preset`` sets every variance-prior constant the file leaves out."""
+    mapping = _read_config(args.config) if args.config else {}
     for key in _CONFIG_DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
@@ -236,12 +228,8 @@ def _layered_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_inputs(data_path, schema_path):
-    if data_path is None or schema_path is None:
-        raise CliError(EXIT_USAGE, "both --data and --schema are required")
     specs, weight_column, skipped = read_schema_file(schema_path)
-    dataset = read_data_csv(data_path, specs, weight_column, skipped)
-    schema = build_schema(specs)
-    return dataset, schema, specs, weight_column
+    return read_data_csv(data_path, specs, weight_column, skipped), build_schema(specs)
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -260,14 +248,13 @@ def _run_single(payload):
     return run_chain(dataset, schema, sampler_cfg)
 
 
-def _select_partition(cfg, partitions, sim, expanded, weights):
-    if cfg.selection == "dahl":
+def _select_partition(selection, partitions, sim, expanded, weights):
+    if selection == "dahl":
         return dahl_select(partitions, sim)
     return min_hm_select(partitions, expanded, weights)
 
 
-def _emit_chain_outputs(outdir: Path, tag: str, cfg: RunConfig, out: ChainOutput,
-                        dataset, schema, free_names):
+def _emit_chain_outputs(outdir: Path, tag: str, out: ChainOutput, free_names):
     files = {}
 
     trace_header = ["iter", "discount", "strength", "n_clusters"]
@@ -291,21 +278,21 @@ def _emit_chain_outputs(outdir: Path, tag: str, cfg: RunConfig, out: ChainOutput
     return files
 
 
-def _emit_selection_outputs(outdir: Path, tag: str, cfg: RunConfig, partitions,
-                            dataset, schema):
+def _emit_selection_outputs(outdir: Path, tag: str, selection: str, similarity_csv: bool,
+                            partitions, dataset, schema):
     files = {}
     sim = similarity(partitions)
     path = outdir / f"similarity{tag}.bin"
     write_similarity_binary(path, sim)
     files["similarity"] = path.name
-    if cfg.similarity_csv:
+    if similarity_csv:
         path = outdir / f"similarity{tag}.csv"
         _write_csv(path, [f"record_{i}" for i in range(sim.shape[0])],
                    [[repr(float(x)) for x in row] for row in sim])
         files["similarity_csv"] = path.name
 
     expanded = expand_variables(dataset, schema)
-    selected, score = _select_partition(cfg, partitions, sim, expanded,
+    selected, score = _select_partition(selection, partitions, sim, expanded,
                                         dataset.weights)
     hm = hm_measure(selected, expanded, dataset.weights)
 
@@ -320,7 +307,7 @@ def _emit_selection_outputs(outdir: Path, tag: str, cfg: RunConfig, partitions,
     files["summary"] = path.name
 
     info = {
-        "selection": cfg.selection,
+        "selection": selection,
         "selection_score": score,
         "hm": hm,
         "n_clusters": int(len(np.unique(selected))),
@@ -329,16 +316,19 @@ def _emit_selection_outputs(outdir: Path, tag: str, cfg: RunConfig, partitions,
     return info
 
 
-def run_command(cfg: RunConfig) -> dict:
-    """Execute chains and write all outputs; returns the manifest mapping."""
+def _run(cfg: RunConfig) -> tuple[dict, list[ChainOutput]]:
+    """Execute chains and write every output but the manifest.
+
+    Returns the manifest mapping and the chains' outputs.
+    """
     t0 = time.perf_counter()
-    dataset, schema, specs, weight_column = _load_inputs(cfg.data, cfg.schema)
+    if None in (cfg.data, cfg.schema, cfg.out):
+        raise CliError(EXIT_USAGE, "--data, --schema and --out are required")
+    dataset, schema = _load_inputs(cfg.data, cfg.schema)
     report = validate_dataset(dataset, schema)
     if not report.ok:
         raise CliError(EXIT_VALIDATION, str(report))
     schema = fit_transforms(schema, dataset)
-    if cfg.out is None:
-        raise CliError(EXIT_USAGE, "--out directory is required")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -360,7 +350,7 @@ def run_command(cfg: RunConfig) -> dict:
         "tool": "pdclust",
         "version": __version__,
         "numpy": np.__version__,
-        "config": {k: v for k, v in dataclasses.asdict(cfg).items()},
+        "config": cfg.as_mapping(),
         "resolved_var_scale": resolve_var_scale(cfg.var_scale, dataset.wbar),
         "wbar": dataset.wbar,
         "n_records": dataset.n,
@@ -375,8 +365,9 @@ def run_command(cfg: RunConfig) -> dict:
     multi = cfg.chains > 1
     for c, out in enumerate(outputs):
         tag = f"_chain{c}" if multi else ""
-        files = _emit_chain_outputs(outdir, tag, cfg, out, dataset, schema, free_names)
-        info = _emit_selection_outputs(outdir, tag, cfg, out.partitions, dataset, schema)
+        files = _emit_chain_outputs(outdir, tag, out, free_names)
+        info = _emit_selection_outputs(outdir, tag, cfg.selection, cfg.similarity_csv,
+                                       out.partitions, dataset, schema)
         info["files"].update(files)
         info["seed"] = seeds[c]
         info["runtime_seconds"] = out.runtime_seconds
@@ -384,11 +375,18 @@ def run_command(cfg: RunConfig) -> dict:
 
     if cfg.pool and multi:
         pooled = np.vstack([out.partitions for out in outputs])
-        manifest["pooled"] = _emit_selection_outputs(outdir, "_pooled", cfg, pooled,
+        manifest["pooled"] = _emit_selection_outputs(outdir, "_pooled", cfg.selection,
+                                                     cfg.similarity_csv, pooled,
                                                      dataset, schema)
 
     manifest["runtime_seconds"] = time.perf_counter() - t0
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return manifest, outputs
+
+
+def run_command(cfg: RunConfig) -> dict:
+    """Execute chains and write all outputs; returns the manifest mapping."""
+    manifest, _ = _run(cfg)
+    (Path(cfg.out) / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 
@@ -426,17 +424,12 @@ def bench_command(scenario: str, preset: str, seed: int, out: str,
     }
     if overrides:
         mapping.update(overrides)
-    cfg = _build_run_config(mapping)
-    manifest = run_command(cfg)
+    manifest, outputs = _run(_build_run_config(mapping))
 
-    # cluster-count histogram from the (single) chain trace
-    trace_path = outdir / manifest["chains"][0]["files"]["trace"]
-    counts: dict[int, int] = {}
-    for line in trace_path.read_text().splitlines()[1:]:
-        r = int(line.split(",")[3])
-        counts[r] = counts.get(r, 0) + 1
-    total = sum(counts.values())
-    rows = [[r, counts[r], repr(counts[r] / total)] for r in sorted(counts)]
+    # cluster-count histogram of the (single) chain's kept draws
+    values, counts = np.unique(outputs[0].trace_r, return_counts=True)
+    total = int(counts.sum())
+    rows = [[int(r), int(k), repr(int(k) / total)] for r, k in zip(values, counts)]
     _write_csv(outdir / "cluster_count_hist.csv", ["n_clusters", "count", "probability"],
                rows)
     manifest["histogram"] = "cluster_count_hist.csv"
@@ -445,19 +438,22 @@ def bench_command(scenario: str, preset: str, seed: int, out: str,
 
 
 def summarize_command(run_dir: str, selection: str | None = None) -> dict:
-    """Recompute similarity/selection/summary from a finished run."""
+    """Recompute similarity/selection/summary from a finished run.
+
+    Of the run's settings it reads only those post-processing uses: data,
+    schema, selection and similarity_csv.
+    """
     outdir = Path(run_dir)
     manifest_path = outdir / "manifest.json"
     if not manifest_path.exists():
         raise CliError(EXIT_USAGE, f"{run_dir} does not contain manifest.json")
     manifest = json.loads(manifest_path.read_text())
-    cfg_map = dict(manifest["config"])
-    if selection is not None:
-        cfg_map["selection"] = selection
-    cfg = _build_run_config(cfg_map)
+    settings = {**_CONFIG_DEFAULTS, **manifest["config"]}
+    if settings["data"] is None or settings["schema"] is None:
+        raise CliError(EXIT_USAGE, f"{manifest_path} names no data or schema file")
+    selection = _check_selection(settings["selection"] if selection is None else selection)
 
-    dataset, schema, _, _ = _load_inputs(cfg.data, cfg.schema)
-    schema = fit_transforms(schema, dataset)
+    dataset, schema = _load_inputs(settings["data"], settings["schema"])
     results = []
     for c, info in enumerate(manifest["chains"]):
         part_path = outdir / info["files"]["partitions"]
@@ -471,13 +467,14 @@ def summarize_command(run_dir: str, selection: str | None = None) -> dict:
                            f"{part_path}: partitions have {partitions.shape[1]} "
                            f"records but the data has {dataset.n}")
         tag = f"_chain{c}" if len(manifest["chains"]) > 1 else ""
-        results.append(_emit_selection_outputs(outdir, tag, cfg, partitions,
+        results.append(_emit_selection_outputs(outdir, tag, selection,
+                                               settings["similarity_csv"], partitions,
                                                dataset, schema))
     return {"chains": results}
 
 
 def validate_command(data_path: str, schema_path: str) -> int:
-    dataset, schema, _, _ = _load_inputs(data_path, schema_path)
+    dataset, schema = _load_inputs(data_path, schema_path)
     report = validate_dataset(dataset, schema)
     print(str(report))
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -513,17 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--var-scale", dest="var_scale",
                        help="number, 'wbar', '<k>*wbar' or 'wbar/<k>'")
     run_p.add_argument("--preset", choices=["A", "B", "C", "custom"])
-    for name in ("var_prior_shape", "var_prior_scale", "base_prior_shape",
-                 "base_prior_scale", "discount_zero_prob", "discount_beta1",
-                 "discount_beta2", "strength_shape", "strength_rate",
-                 "var_proposal_shape", "corr_window_frac", "strength_step"):
-        run_p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-    run_p.add_argument("--selection", choices=["dahl", "min-hm"])
+    for name in _CONSTANTS:
+        default = _CONFIG_DEFAULTS[name]
+        run_p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
+                           help="default: " + ("from --preset" if default is None
+                                               else str(default)))
+    run_p.add_argument("--selection", choices=SELECTIONS)
     run_p.add_argument("--pool", action="store_const", const=True, dest="pool")
     run_p.add_argument("--similarity-csv", action="store_const", const=True,
                        dest="similarity_csv")
-    run_p.add_argument("--no-runtime-checks", action="store_const", const=False,
-                       dest="runtime_checks")
 
     bench_p = sub.add_parser("bench", help="run a benchmark scenario")
     bench_p.add_argument("--scenario", required=True,
@@ -537,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     summ_p = sub.add_parser("summarize", help="recompute post-processing outputs")
     summ_p.add_argument("--run", required=True, dest="run_dir")
-    summ_p.add_argument("--selection", choices=["dahl", "min-hm"])
+    summ_p.add_argument("--selection", choices=SELECTIONS)
 
     val_p = sub.add_parser("validate", help="validate a dataset against a schema")
     val_p.add_argument("--data", required=True)

@@ -53,7 +53,7 @@ class TransformSpec:
         """Realise the shift from a data column (no-op for identity)."""
         if self.kind == IDENTITY:
             return self
-        shift = linear_quantile(np.asarray(values, dtype=float), self.shift_quantile)
+        shift = float(np.quantile(np.asarray(values, dtype=float), self.shift_quantile))
         fitted = replace(self, shift=shift)
         fitted.apply(values)  # fail fast if the shift cannot make y + shift > 0
         return fitted
@@ -68,27 +68,6 @@ class TransformSpec:
             raise ValueError("log-shift argument must be positive for all records")
         out = np.log(arg)
         return out if np.ndim(y) else float(out)
-
-
-def linear_quantile(values: np.ndarray, q: float) -> float:
-    """``np.quantile(values, q)`` of a 1-D float column, bit for bit.
-
-    Linear interpolation between order statistics (Hyndman and Fan's
-    type 7), written out with numpy's own arithmetic: the interpolation
-    runs from the lower neighbour below a fraction of 0.5 and from the
-    upper one at or above it, and any NaN gives NaN. ``np.quantile``'s
-    per-call dispatch costs more than the sort at survey sizes, and
-    ``summarize`` refits the shift on every call.
-    """
-    x = np.sort(values)
-    if np.isnan(x[-1]):
-        return float("nan")
-    h = (x.size - 1) * q
-    lo = int(h)
-    g = h - lo
-    a, b = float(x[lo]), float(x[min(lo + 1, x.size - 1)])
-    diff = b - a
-    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
 
 
 def transform_continuous(y, spec: TransformSpec | None):

@@ -22,7 +22,9 @@ class PDHyper:
     mixed with Beta(discount_beta1, discount_beta2); the strength prior is
     Gamma(strength_shape, strength_rate) on ``strength + discount``. The
     strength update uses a uniform random walk of half-width
-    ``strength_step``.
+    ``strength_step``. The constants are range-checked where they are set,
+    on :class:`~pdclust.sampler.PriorConstants` and
+    :class:`~pdclust.sampler.TuningConstants`.
     """
 
     discount: float = 0.0
@@ -39,12 +41,6 @@ class PDHyper:
             raise ValueError("discount must lie in [0, 1)")
         if not self.strength > -self.discount:
             raise ValueError("strength must exceed -discount")
-        if not 0.0 <= self.discount_zero_prob <= 1.0:
-            raise ValueError("point-mass weight must lie in [0, 1]")
-        for c in (self.discount_beta1, self.discount_beta2,
-                  self.strength_shape, self.strength_rate, self.strength_step):
-            if c <= 0:
-                raise ValueError("prior and tuning constants must be positive")
 
 
 @dataclass
@@ -59,8 +55,6 @@ class BaseMeasure:
         self.base_var = np.array(self.base_var, dtype=float)
         if np.any(self.base_var <= 0):
             raise ValueError("base-measure variances must be positive")
-        if self.prior_shape <= 0 or self.prior_scale <= 0:
-            raise ValueError("prior constants must be positive")
 
 
 def urn_weights(hyper: PDHyper, cluster_sizes, n: int) -> np.ndarray:

@@ -11,8 +11,9 @@ locations right after the memberships change.
 from __future__ import annotations
 
 import bisect
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,11 +45,6 @@ class MixtureState:
     def r(self) -> int:
         return len(self.counts)
 
-    @classmethod
-    def singletons(cls, z: np.ndarray) -> "MixtureState":
-        n = z.shape[0]
-        return cls(labels=np.arange(n), mus=z.copy(), counts=np.ones(n, dtype=np.int64))
-
     def remove_cluster(self, j: int):
         self.mus = np.delete(self.mus, j, axis=0)
         self.counts = np.delete(self.counts, j)
@@ -68,19 +64,47 @@ class MixtureState:
             raise ChainInvariantError("labels and counts disagree")
 
 
+def _check_positive(owner, names):
+    """Raise ValueError naming the first of ``names`` that is not a finite number > 0."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not 0 < value < np.inf:
+            raise ValueError(f"{name} must be a positive number, got {value!r}")
+
+
+def _check_count(owner, name, least):
+    """Raise ValueError naming ``name`` unless it is an integer >= ``least``."""
+    value = getattr(owner, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PriorConstants:
-    """All fixed prior constants of the model."""
+    """All fixed prior constants of the model.
 
+    The inverse-gamma priors of the free kernel variances and of the
+    base-measure variances; the discount's point mass at 0 and Beta; the
+    Gamma prior on strength + discount.
+    """
+
+    var_prior_shape: float = 1.0
+    var_prior_scale: float = 1.0
+    base_prior_shape: float = 1.0
+    base_prior_scale: float = 1.0
     discount_zero_prob: float = 0.5
     discount_beta1: float = 1.0
     discount_beta2: float = 1.0
     strength_shape: float = 1.0
     strength_rate: float = 1.0
-    var_prior_shape: float = 1.0
-    var_prior_scale: float = 1.0
-    base_prior_shape: float = 1.0
-    base_prior_scale: float = 1.0
+
+    def __post_init__(self):
+        value = self.discount_zero_prob
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not 0.0 <= value <= 1.0:
+            raise ValueError(f"discount_zero_prob must lie in [0, 1], got {value!r}")
+        _check_positive(self, [f.name for f in fields(self) if f.name != "discount_zero_prob"])
 
 
 @dataclass(frozen=True)
@@ -91,9 +115,14 @@ class TuningConstants:
     corr_window_frac: float = 4.0
     strength_step: float = 2.0
 
+    def __post_init__(self):
+        _check_positive(self, [f.name for f in fields(self)])
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Every setting of one chain; each is range-checked when the config is built."""
+
     iterations: int
     burnin: int
     thinning: int = 1
@@ -102,17 +131,17 @@ class SamplerConfig:
     weight_mode: str = WEIGHT_MODE_DESIGN
     priors: PriorConstants = field(default_factory=PriorConstants)
     tuning: TuningConstants = field(default_factory=TuningConstants)
-    runtime_checks: bool = True
 
     def __post_init__(self):
+        _check_count(self, "iterations", 1)
+        _check_count(self, "burnin", 0)
+        _check_count(self, "thinning", 1)
+        _check_count(self, "seed", 0)
         if self.burnin >= self.iterations:
-            raise ValueError("burn-in must be smaller than iterations")
-        if self.burnin < 0 or self.thinning < 1:
-            raise ValueError("invalid burn-in/thinning")
-        if self.var_scale <= 0:
-            raise ValueError("var_scale must be positive")
+            raise ValueError("burnin must be smaller than iterations")
+        _check_positive(self, ["var_scale"])
         if self.weight_mode not in (WEIGHT_MODE_IGNORE, WEIGHT_MODE_DESIGN):
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
+            raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
     @property
     def kept(self) -> int:
@@ -476,10 +505,9 @@ def run_chain(dataset: Dataset, schema: Schema, config: SamplerConfig) -> ChainO
             trace_var[stored] = cov.sdevs[free_idx] ** 2
             trace_base_var[stored] = base.base_var
             stored += 1
-            if config.runtime_checks:
-                mixture.check(n)
-                cov.check()
-                latents.check_consistent()
+            mixture.check(n)
+            cov.check()
+            latents.check_consistent()
 
     if stored != kept:
         raise RuntimeError(f"chain stored {stored} partitions but the config keeps {kept}")

@@ -139,18 +139,6 @@ class Schema:
     def p(self) -> int:
         return len(self.variables)
 
-    @property
-    def n_continuous(self) -> int:
-        return sum(1 for v in self.variables if v.kind == CONTINUOUS)
-
-    @property
-    def n_ordinal(self) -> int:
-        return sum(1 for v in self.variables if v.kind == ORDINAL)
-
-    @property
-    def n_nominal(self) -> int:
-        return sum(1 for v in self.variables if v.kind == NOMINAL)
-
     def latent_slice(self, k: int) -> slice:
         """Latent coordinate range of canonical variable ``k``."""
         start = self.latent_starts[k]

@@ -55,17 +55,11 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class MixtureDensity:
-    """Callable handle on a univariate normal mixture."""
+    """Handle on a univariate normal mixture: its components and its CDF."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)[..., None]
-        sd = np.sqrt(self.variances)
-        comp = np.exp(-0.5 * ((x - self.means) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
-        return comp @ self.weights
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)[..., None]

@@ -54,7 +54,7 @@ def _run_benchmark(scenario, preset):
     var_shape, var_prior_scale, base_shape, base_prior_scale = PRESETS[preset]
     cfg = pc.SamplerConfig(
         iterations=4700, burnin=200, thinning=3, seed=BENCH_CHAIN_SEED,
-        weight_mode=mode, var_scale=var_scale, runtime_checks=True,
+        weight_mode=mode, var_scale=var_scale,
         priors=pc.PriorConstants(var_prior_shape=var_shape, var_prior_scale=var_prior_scale,
                                  base_prior_shape=base_shape,
                                  base_prior_scale=base_prior_scale),

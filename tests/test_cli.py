@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -15,6 +16,7 @@ from pdclust.dataio import (DataFormatError, read_data_csv, read_schema_file,
                             write_schema_file, write_similarity_binary,
                             write_text_output)
 from pdclust.latent import TransformSpec
+from pdclust.sampler import PriorConstants, TuningConstants
 from pdclust.schema import continuous_spec, nominal_spec, ordinal_spec
 
 
@@ -139,15 +141,15 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "C"}))
         cfg = parse_config(path)
-        assert cfg.var_prior_shape == 2.1 and cfg.var_prior_scale == 30.0
-        assert cfg.base_prior_shape == 2.1 and cfg.base_prior_scale == 30.0
+        assert cfg.priors.var_prior_shape == 2.1 and cfg.priors.var_prior_scale == 30.0
+        assert cfg.priors.base_prior_shape == 2.1 and cfg.priors.base_prior_scale == 30.0
 
     def test_preset_a_expansion(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "A"}))
         cfg = parse_config(path)
-        assert (cfg.var_prior_shape, cfg.var_prior_scale,
-                cfg.base_prior_shape, cfg.base_prior_scale) == PRESETS["A"]
+        assert (cfg.priors.var_prior_shape, cfg.priors.var_prior_scale,
+                cfg.priors.base_prior_shape, cfg.priors.base_prior_scale) == PRESETS["A"]
 
     def test_custom_requires_all_constants(self):
         with pytest.raises(CliError) as err:
@@ -156,7 +158,7 @@ class TestConfig:
 
     def test_explicit_constants_override_preset(self):
         cfg = _build_run_config({"preset": "C", "var_prior_scale": 99.0})
-        assert cfg.var_prior_scale == 99.0 and cfg.var_prior_shape == 2.1
+        assert cfg.priors.var_prior_scale == 99.0 and cfg.priors.var_prior_shape == 2.1
 
     def test_burnin_check(self):
         with pytest.raises(CliError):
@@ -182,6 +184,77 @@ class TestConfig:
             resolve_var_scale("two wbars", 1.0)
         with pytest.raises(CliError):
             resolve_var_scale(-1.0, 1.0)
+
+    @pytest.mark.parametrize("key, settings, flags", [
+        ("iterations", {"iterations": "20"}, []),
+        ("chains", {"chains": "2"}, []),
+        ("thinning", {"thinning": 1.5}, []),
+        ("seed", {"seed": -1}, []),
+        ("burnin", {"burnin": -3}, []),
+        ("discount_zero_prob", {"discount_zero_prob": 1.5}, []),
+        ("strength_step", {"strength_step": -1.0}, []),
+        ("base_prior_scale", {"base_prior_scale": -2.0}, []),
+        ("corr_window_frac", {"corr_window_frac": 0}, []),
+        ("var_proposal_shape", {"var_proposal_shape": 0}, []),
+        ("var_proposal_shape", {}, ["--var-proposal-shape", "0"]),
+        ("var_prior_shape", {"var_prior_shape": -1.0}, []),
+        ("var_prior_scale", {"preset": "custom", "var_prior_shape": 2.0,
+                             "var_prior_scale": 0.0, "base_prior_shape": 2.0,
+                             "base_prior_scale": 2.0}, []),
+    ], ids=["iterations", "chains", "thinning", "seed", "burnin", "discount_zero_prob",
+            "strength_step", "base_prior_scale", "corr_window_frac", "var_proposal_shape",
+            "var_proposal_shape-flag", "var_prior_shape", "custom-var_prior_scale"])
+    def test_bad_values_exit_one_and_name_the_setting(self, scenario_files, capsys,
+                                                      key, settings, flags):
+        tmp, _, _ = scenario_files
+        cfg_path = tmp / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "data": str(tmp / "data.csv"), "schema": str(tmp / "schema.txt"),
+            "out": str(tmp / "out"), "iterations": 20, "burnin": 4, "thinning": 2,
+            "weight_mode": "ignore", "var_scale": 1.0, "seed": 3, **settings,
+        }))
+        assert main(["run", "--config", str(cfg_path), *flags]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
+    def test_flags_override_the_config_file_key_by_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "A", "base_prior_scale": 7.0,
+                                    "var_proposal_shape": 0}))
+        args = pdclust.cli.build_parser().parse_args(
+            ["run", "--config", str(path), "--preset", "C", "--var-proposal-shape", "3"])
+        cfg = pdclust.cli._layered_config(args)
+        assert cfg.preset == "C" and cfg.tuning.var_proposal_shape == 3.0
+        assert (cfg.priors.var_prior_shape, cfg.priors.var_prior_scale,
+                cfg.priors.base_prior_shape, cfg.priors.base_prior_scale) == (2.1, 30.0, 2.1, 7.0)
+
+    def test_every_constant_is_a_config_key_and_a_flag(self, scenario_files, monkeypatch):
+        tmp, _, _ = scenario_files
+        names = [f.name for cls in (PriorConstants, TuningConstants)
+                 for f in dataclasses.fields(cls)]
+        # distinct values, each in (0, 1) and so valid for every constant
+        values = {name: (k + 1) / (len(names) + 1) for k, name in enumerate(names)}
+        seen = []
+
+        def capture(dataset, schema, config):
+            seen.append(config)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(pdclust.cli, "run_chain", capture)
+        run = {"data": str(tmp / "data.csv"), "schema": str(tmp / "schema.txt"),
+               "out": str(tmp / "out"), "iterations": 20, "burnin": 4}
+        cfg_path = tmp / "cfg.json"
+        cfg_path.write_text(json.dumps({**run, **values}))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_RUNTIME
+        cfg_path.write_text(json.dumps(run))
+        flags = [arg for name in names
+                 for arg in (f"--{name.replace('_', '-')}", repr(values[name]))]
+        assert main(["run", "--config", str(cfg_path), *flags]) == EXIT_RUNTIME
+
+        assert len(seen) == 2
+        for config in seen:
+            got = {**dataclasses.asdict(config.priors), **dataclasses.asdict(config.tuning)}
+            assert got == values
 
 
 def small_run_config(tmp_path, **extra):
@@ -268,6 +341,15 @@ class TestVerbs:
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main(["run"]) == EXIT_USAGE  # missing data/schema/out
 
+    def test_missing_out_is_reported_before_the_data_are_read(self, tmp_path, capsys):
+        specs = [ordinal_spec("b", 2)]
+        write_data_csv(tmp_path / "data.csv", Dataset.from_values([[7.0]]), specs)
+        write_schema_file(tmp_path / "schema.txt", specs)
+        code = main(["run", "--data", str(tmp_path / "data.csv"),
+                     "--schema", str(tmp_path / "schema.txt")])
+        assert code == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+
     def test_run_verb_end_to_end(self, scenario_files):
         tmp, _, _ = scenario_files
         code = main([
@@ -326,6 +408,13 @@ class TestVerbs:
         probs = [float(line.split(",")[2]) for line in hist[1:]]
         assert abs(sum(probs) - 1.0) < 1e-9
         assert manifest["histogram"] == "cluster_count_hist.csv"
+        trace = (out / manifest["chains"][0]["files"]["trace"]).read_text().splitlines()
+        column = trace[0].split(",").index("n_clusters")
+        r, counts = np.unique([int(line.split(",")[column]) for line in trace[1:]],
+                              return_counts=True)
+        assert [line.split(",")[:2] for line in hist[1:]] == \
+            [[str(a), str(b)] for a, b in zip(r, counts)]
+        assert json.loads((out / "manifest.json").read_text()) == manifest
 
     def test_bench_weighted_scenario_resolves_kappa(self, tmp_path):
         manifest = bench_command("V", "C", seed=1, out=str(tmp_path / "b5"),
@@ -344,6 +433,22 @@ class TestVerbs:
         # dahl re-summarize restores the original bytes
         summarize_command(str(tmp / "out"), selection="dahl")
         assert (tmp / "out" / "summary.csv").read_bytes() == before
+
+    def test_summarize_reads_a_manifest_with_settings_it_does_not_use(self, scenario_files):
+        tmp, _, _ = scenario_files
+        run_command(small_run_config(tmp))
+        before = (tmp / "out" / "summary.csv").read_bytes()
+        path = tmp / "out" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["runtime_checks"] = True  # a key of manifests from older versions
+        del manifest["config"]["similarity_csv"]  # a missing key takes its default
+        path.write_text(json.dumps(manifest))
+        result = summarize_command(str(tmp / "out"))
+        assert result["chains"][0]["selection"] == "dahl"
+        assert (tmp / "out" / "summary.csv").read_bytes() == before
+        with pytest.raises(CliError) as err:
+            summarize_command(str(tmp / "out"), selection="best")
+        assert err.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("selection", ["dahl", "min-hm"])
     def test_summarize_rejects_partition_width_mismatch(self, scenario_files,

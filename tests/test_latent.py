@@ -7,8 +7,8 @@ from pdclust import (Dataset, TransformSpec, build_schema, conditional_moments,
                      continuous_spec, decode_ordinal, initial_latents, nominal_spec,
                      ordinal_spec, transform_continuous)
 from pdclust.covariance import CovarianceState
-from pdclust.latent import (decode_nominal_rows, fit_transforms, linear_quantile,
-                            resample_latents, sample_truncated_normal_many)
+from pdclust.latent import (decode_nominal_rows, fit_transforms, resample_latents,
+                            sample_truncated_normal_many)
 from pdclust.sampler import MixtureState
 
 
@@ -48,17 +48,6 @@ class TestTransforms:
         ds = Dataset.from_values(np.arange(1.0, 9.0)[:, None])
         fitted = fit_transforms(schema, ds)
         assert fitted.variables[0].transform.shift == np.quantile(ds.values[:, 0], 0.25)
-
-    @pytest.mark.parametrize("q", [0.01, 0.25, 1 / 3, 0.5, 0.99])
-    def test_linear_quantile_is_numpy_quantile_bit_for_bit(self, q):
-        rng = np.random.default_rng(5)
-        columns = [np.array([3.5]), np.array([2.0, 2.0, -1.0]),
-                   rng.integers(-4, 4, 37).astype(float)]
-        columns += [rng.lognormal(8.0, 1.2, n) for n in (2, 7, 100, 1001)]
-        columns += [rng.standard_cauchy(n) * 10.0 ** rng.uniform(-6, 6) for n in range(1, 60)]
-        for col in columns:
-            assert linear_quantile(col, q) == float(np.quantile(col, q)), (q, col.size)
-        assert np.isnan(linear_quantile(np.array([1.0, np.nan, 2.0]), q))
 
 
 class TestDecode:
@@ -203,7 +192,7 @@ class TestResampleLatents:
         ds = Dataset.from_values(rng.standard_normal((30, 2)))
         state = initial_latents(ds, schema)
         before = state.z.copy()
-        mixture = MixtureState.singletons(state.z)
+        mixture = MixtureState(np.arange(ds.n), state.z.copy(), np.ones(ds.n, dtype=np.int64))
         cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
         resample_latents(state, mixture, cov, 1.0, np.ones(30), rng)
         assert np.array_equal(state.z, before)
@@ -211,7 +200,8 @@ class TestResampleLatents:
     def test_binary_level_one_gives_positive_latents(self):
         schema, ds, rng = binary_state()
         state = initial_latents(ds, schema)
-        mixture = MixtureState.singletons(np.zeros_like(state.z))
+        mixture = MixtureState(np.arange(ds.n), np.zeros_like(state.z),
+                               np.ones(ds.n, dtype=np.int64))
         cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
         for _ in range(3):
             resample_latents(state, mixture, cov, 1.0, np.ones(ds.n), rng)
@@ -234,7 +224,7 @@ class TestResampleLatents:
         ds = Dataset.from_values(values)
         state = initial_latents(ds, schema)
         state.check_consistent()
-        mixture = MixtureState.singletons(state.z * 0.5)
+        mixture = MixtureState(np.arange(n), state.z * 0.5, np.ones(n, dtype=np.int64))
         cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
         pis = rng.uniform(0.5, 1.0, n)
         for _ in range(10):
@@ -249,7 +239,7 @@ class TestResampleLatents:
         n = 50
         ds = Dataset.from_values(rng.integers(0, 5, (n, 1)).astype(float))
         state = initial_latents(ds, schema)
-        mixture = MixtureState.singletons(np.zeros_like(state.z))
+        mixture = MixtureState(np.arange(n), np.zeros_like(state.z), np.ones(n, dtype=np.int64))
         cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
         for _ in range(5):
             resample_latents(state, mixture, cov, 1.0, np.ones(n), rng)

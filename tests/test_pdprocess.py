@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pdclust import BaseMeasure, PDHyper, eppf_log, urn_weights
+from pdclust import BaseMeasure, PDHyper, PriorConstants, eppf_log, urn_weights
 from pdclust.pdprocess import update_base_scales, update_discount, update_strength
 
 
@@ -187,4 +187,4 @@ def test_hyper_validation():
     with pytest.raises(ValueError):
         PDHyper(discount=0.2, strength=-0.2)
     with pytest.raises(ValueError):
-        PDHyper(0.0, 1.0, strength_rate=-1.0)
+        PriorConstants(strength_rate=-1.0)

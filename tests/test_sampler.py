@@ -35,7 +35,8 @@ def tiny_states(n=6, q=1, seed=0, z=None):
     schema = build_schema([continuous_spec(f"y{j}") for j in range(q)])
     ds = Dataset.from_values(z.copy())
     latents = LatentState(z=z.copy(), dataset=ds, schema=schema)
-    mixture = MixtureState.singletons(z)
+    n = z.shape[0]
+    mixture = MixtureState(np.arange(n), z.copy(), np.ones(n, dtype=np.int64))
     cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
     base = BaseMeasure(np.ones(q), 2.0, 2.0)
     hyper = PDHyper(0.0, 1.0)
