@@ -27,9 +27,9 @@ from .dataio import (DataFormatError, read_data_csv, read_schema_file,
 from .latent import fit_transforms
 from .postproc import (cluster_summary, dahl_select, expand_variables, hm_measure,
                        min_hm_select, similarity)
-from .sampler import (ChainOutput, PriorConstants, SamplerConfig, TuningConstants,
-                      run_chain)
-from .schema import Dataset, SchemaError, build_schema, validate_dataset
+from .sampler import ChainOutput, SamplerConfig, run_chain
+from .schema import (Dataset, PriorConstants, SchemaError, TuningConstants, build_schema,
+                     validate_dataset)
 from .simgen import (STUDY1, STUDY2, ScenarioSpec, gen_study1, gen_study2,
                      scenario_sampler_settings, scenario_variable_specs)
 
@@ -351,7 +351,7 @@ def _run(cfg: RunConfig) -> tuple[dict, list[ChainOutput]]:
         "version": __version__,
         "numpy": np.__version__,
         "config": cfg.as_mapping(),
-        "resolved_var_scale": resolve_var_scale(cfg.var_scale, dataset.wbar),
+        "resolved_var_scale": payloads[0][2].var_scale,
         "wbar": dataset.wbar,
         "n_records": dataset.n,
         "chain_seeds": seeds,
@@ -447,16 +447,21 @@ def summarize_command(run_dir: str, selection: str | None = None) -> dict:
     manifest_path = outdir / "manifest.json"
     if not manifest_path.exists():
         raise CliError(EXIT_USAGE, f"{run_dir} does not contain manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    settings = {**_CONFIG_DEFAULTS, **manifest["config"]}
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        settings = {**_CONFIG_DEFAULTS, **manifest["config"]}
+        part_names = [info["files"]["partitions"] for info in manifest["chains"]]
+    except (ValueError, KeyError, TypeError) as err:  # bad JSON, missing or mistyped entry
+        raise CliError(EXIT_USAGE, f"{manifest_path} is not a run manifest: "
+                                   f"{type(err).__name__}: {err}") from None
     if settings["data"] is None or settings["schema"] is None:
         raise CliError(EXIT_USAGE, f"{manifest_path} names no data or schema file")
     selection = _check_selection(settings["selection"] if selection is None else selection)
 
     dataset, schema = _load_inputs(settings["data"], settings["schema"])
     results = []
-    for c, info in enumerate(manifest["chains"]):
-        part_path = outdir / info["files"]["partitions"]
+    for c, part_name in enumerate(part_names):
+        part_path = outdir / part_name
         # an open handle skips np.loadtxt's own path resolution (about 4 ms
         # of 45 ms at n = 1000 and 1500 partitions)
         with open(part_path) as fh:
@@ -466,7 +471,7 @@ def summarize_command(run_dir: str, selection: str | None = None) -> dict:
             raise CliError(EXIT_VALIDATION,
                            f"{part_path}: partitions have {partitions.shape[1]} "
                            f"records but the data has {dataset.n}")
-        tag = f"_chain{c}" if len(manifest["chains"]) > 1 else ""
+        tag = f"_chain{c}" if len(part_names) > 1 else ""
         results.append(_emit_selection_outputs(outdir, tag, selection,
                                                settings["similarity_csv"], partitions,
                                                dataset, schema))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .schema import ChainInvariantError
+from .schema import ChainInvariantError, PriorConstants, TuningConstants
 
 
 def chol_logdet(chol: np.ndarray) -> float:
@@ -37,8 +37,6 @@ def compose_sigma(sdevs, corr):
 
 def scatter_matrix(z, mu, pis, var_scale: float) -> np.ndarray:
     """Weighted residual scatter sum_i (z_i - mu_i)(z_i - mu_i)' / (var_scale * pi_i)."""
-    if var_scale <= 0:
-        raise ValueError("var_scale must be positive")
     d = np.asarray(z, dtype=float) - np.asarray(mu, dtype=float)
     w = 1.0 / (var_scale * np.asarray(pis, dtype=float))
     s = d.T @ (d * w[:, None])
@@ -57,16 +55,15 @@ class CovarianceState:
     fixed coordinates), ``corr`` the correlation matrix. The caches
     (``sigma``, ``chol``, ``sigma_inv``, ``logdet_sigma``, and
     ``corr_inv_chol``, ``corr_logdet``, ``corr_inv`` of ``corr``) are
-    refreshed after every accepted move.
+    refreshed after every accepted move. The free variances' inverse-gamma
+    prior is read from ``priors`` and the proposal tunings from ``tuning``.
     """
 
     sdevs: np.ndarray
     corr: np.ndarray
     free: np.ndarray
-    var_prior_shape: float = 1.0
-    var_prior_scale: float = 1.0
-    var_proposal_shape: float = 5.0
-    corr_window_frac: float = 4.0
+    priors: PriorConstants = field(default_factory=PriorConstants)
+    tuning: TuningConstants = field(default_factory=TuningConstants)
     sigma: np.ndarray = field(init=False)
     chol: np.ndarray = field(init=False)
     sigma_inv: np.ndarray = field(init=False)
@@ -140,7 +137,7 @@ def update_variance(state: CovarianceState, j: int, scatter, n: int, rng,
     if not state.free[j]:
         raise ValueError(f"coordinate {j} has a fixed variance")
     cur = state.sdevs[j] ** 2
-    shape = state.var_proposal_shape
+    shape = state.tuning.var_proposal_shape
     cand = rng.gamma(shape, cur / shape)
     if cand <= 0.0 or not np.isfinite(cand):
         return False
@@ -154,9 +151,9 @@ def update_variance(state: CovarianceState, j: int, scatter, n: int, rng,
 
     log_ratio = (
         _variance_logpost(state.sdevs, state.corr_inv, j, cand, scatter, n,
-                          state.var_prior_shape, state.var_prior_scale)
+                          state.priors.var_prior_shape, state.priors.var_prior_scale)
         - _variance_logpost(state.sdevs, state.corr_inv, j, cur, scatter, n,
-                            state.var_prior_shape, state.var_prior_scale)
+                            state.priors.var_prior_shape, state.priors.var_prior_scale)
     )
     if hastings:
         log_ratio += _gamma_logpdf_shape_scale(cur, shape, cand / shape)
@@ -245,7 +242,7 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     length = hi - lo
     if length <= 0.0:
         return False
-    half = length / state.corr_window_frac
+    half = length / state.tuning.corr_window_frac
     cur = float(state.corr[j, k])
     w_lo, w_hi = max(lo, cur - half), min(hi, cur + half)
     cand = rng.uniform(w_lo, w_hi)

@@ -4,7 +4,8 @@ Schema files are line-oriented: blank lines and ``#`` comments are skipped,
 every other line reads ``<column> <kind> [key=value ...]`` with kinds
 ``continuous | ordinal | nominal | weight | skip``. ``levels=`` takes either
 a count or a comma-separated label list; continuous columns accept
-``transform=identity|log-shift`` and ``shift_quantile=``. Data files are
+``transform=identity|log-shift`` and ``shift_quantile=`` (a number in
+(0, 1)). A key the line's kind does not take is an error. Data files are
 plain CSV with a header row; categorical cells hold 0-based level codes,
 and blank lines are ignored.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .latent import LOG_SHIFT, TransformSpec
+from .latent import IDENTITY, LOG_SHIFT, TransformSpec
 from .schema import CONTINUOUS, Dataset, NOMINAL, ORDINAL, SchemaError, VariableSpec
 
 _SIMILARITY_MAGIC = b"PDCSIM1\x00"
@@ -29,12 +30,19 @@ class DataFormatError(ValueError):
     """Malformed schema or data file."""
 
 
-def _parse_options(tokens, where):
+#: The option keys each kind of schema line takes.
+_SCHEMA_KEYS = {CONTINUOUS: ("transform", "shift_quantile"), ORDINAL: ("levels",),
+                NOMINAL: ("levels",), "weight": (), "skip": ()}
+
+
+def _parse_options(tokens, where, kind):
     opts = {}
     for tok in tokens:
         if "=" not in tok:
             raise DataFormatError(f"{where}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
+        if key not in _SCHEMA_KEYS[kind]:
+            raise DataFormatError(f"{where}: {kind} lines take no {key}= option")
         opts[key] = val
     return opts
 
@@ -66,7 +74,9 @@ def read_schema_file(path) -> tuple[list[VariableSpec], str | None, list[str]]:
             raise DataFormatError(f"{path}:{lineno}: expected '<column> <kind> ...'")
         name, kind, *rest = tokens
         where = f"{path}:{lineno}"
-        opts = _parse_options(rest, where)
+        if kind not in _SCHEMA_KEYS:
+            raise DataFormatError(f"{where}: unknown kind {kind!r}")
+        opts = _parse_options(rest, where, kind)
         if kind == "weight":
             if weight_column is not None:
                 raise DataFormatError(f"{where}: duplicate weight column")
@@ -74,19 +84,17 @@ def read_schema_file(path) -> tuple[list[VariableSpec], str | None, list[str]]:
         elif kind == "skip":
             skipped.append(name)
         elif kind == CONTINUOUS:
-            transform = None
-            if opts.get("transform", "identity") == LOG_SHIFT:
-                transform = TransformSpec(
-                    kind=LOG_SHIFT,
-                    shift_quantile=float(opts.get("shift_quantile", 0.01)),
-                )
-            specs.append(VariableSpec(name, CONTINUOUS, (), transform))
-        elif kind in (ORDINAL, NOMINAL):
+            try:  # TransformSpec checks the transform's name and shift quantile
+                transform = TransformSpec(opts.get("transform", IDENTITY),
+                                          float(opts.get("shift_quantile", 0.01)))
+            except ValueError as err:
+                raise DataFormatError(f"{where}: {err}") from None
+            specs.append(VariableSpec(name, CONTINUOUS, (),
+                                      transform if transform.kind == LOG_SHIFT else None))
+        else:
             if "levels" not in opts:
                 raise DataFormatError(f"{where}: {kind} variables need levels=")
             specs.append(VariableSpec(name, kind, _levels_from(opts["levels"], where)))
-        else:
-            raise DataFormatError(f"{where}: unknown kind {kind!r}")
     if not specs:
         raise DataFormatError(f"{path}: no variables declared")
     return specs, weight_column, skipped

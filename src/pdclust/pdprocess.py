@@ -8,33 +8,30 @@ single full EPPF routine so no kernel term can go missing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betaln, gammaln
 
+from .schema import PriorConstants, TuningConstants
+
 
 @dataclass
 class PDHyper:
-    """Current (discount, strength) pair plus its hyperprior constants.
+    """Current (discount, strength) pair plus the constants of its hyperprior.
 
-    The discount prior is a point mass at 0 with weight ``discount_zero_prob``
-    mixed with Beta(discount_beta1, discount_beta2); the strength prior is
-    Gamma(strength_shape, strength_rate) on ``strength + discount``. The
-    strength update uses a uniform random walk of half-width
-    ``strength_step``. The constants are range-checked where they are set,
-    on :class:`~pdclust.sampler.PriorConstants` and
-    :class:`~pdclust.sampler.TuningConstants`.
+    The discount prior is a point mass at 0 with weight
+    ``priors.discount_zero_prob`` mixed with Beta(``priors.discount_beta1``,
+    ``priors.discount_beta2``); the strength prior is
+    Gamma(``priors.strength_shape``, ``priors.strength_rate``) on
+    ``strength + discount``. The strength update uses a uniform random walk
+    of half-width ``tuning.strength_step``.
     """
 
     discount: float = 0.0
     strength: float = 1.0
-    discount_zero_prob: float = 0.5
-    discount_beta1: float = 1.0
-    discount_beta2: float = 1.0
-    strength_shape: float = 1.0
-    strength_rate: float = 1.0
-    strength_step: float = 2.0
+    priors: PriorConstants = field(default_factory=PriorConstants)
+    tuning: TuningConstants = field(default_factory=TuningConstants)
 
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
@@ -45,11 +42,11 @@ class PDHyper:
 
 @dataclass
 class BaseMeasure:
-    """Diagonal base-measure variances with their inverse-gamma prior."""
+    """Diagonal base-measure variances; their inverse-gamma prior is
+    InvGamma(``priors.base_prior_shape``, ``priors.base_prior_scale``)."""
 
     base_var: np.ndarray
-    prior_shape: float = 1.0
-    prior_scale: float = 1.0
+    priors: PriorConstants = field(default_factory=PriorConstants)
 
     def __post_init__(self):
         self.base_var = np.array(self.base_var, dtype=float)
@@ -57,7 +54,7 @@ class BaseMeasure:
             raise ValueError("base-measure variances must be positive")
 
 
-def urn_weights(hyper: PDHyper, cluster_sizes, n: int) -> np.ndarray:
+def urn_weights(discount: float, strength: float, cluster_sizes, n: int) -> np.ndarray:
     """Predictive urn weights for one record given the others' partition.
 
     ``cluster_sizes`` are the occupied-cluster sizes excluding the record
@@ -70,10 +67,10 @@ def urn_weights(hyper: PDHyper, cluster_sizes, n: int) -> np.ndarray:
         raise ValueError("cluster sizes must be >= 1")
     if int(round(sizes.sum())) != n - 1:
         raise ValueError(f"cluster sizes sum to {sizes.sum()}, expected n - 1 = {n - 1}")
-    denom = hyper.strength + n - 1
+    denom = strength + n - 1
     out = np.empty(sizes.size + 1)
-    out[0] = (hyper.strength + hyper.discount * sizes.size) / denom
-    out[1:] = (sizes - hyper.discount) / denom
+    out[0] = (strength + discount * sizes.size) / denom
+    out[1:] = (sizes - discount) / denom
     return out
 
 
@@ -100,32 +97,32 @@ def eppf_log(discount: float, strength: float, cluster_sizes) -> float:
     return float(out)
 
 
-def _discount_logprior(hyper: PDHyper, value: float) -> float:
+def _discount_logprior(priors: PriorConstants, value: float) -> float:
     """Density wrt (point mass at 0) + Lebesgue on (0, 1)."""
     if value == 0.0:
-        if hyper.discount_zero_prob == 0.0:
+        if priors.discount_zero_prob == 0.0:
             return -np.inf
-        return float(np.log(hyper.discount_zero_prob))
-    if hyper.discount_zero_prob == 1.0:
+        return float(np.log(priors.discount_zero_prob))
+    if priors.discount_zero_prob == 1.0:
         return -np.inf
-    a1, a2 = hyper.discount_beta1, hyper.discount_beta2
+    a1, a2 = priors.discount_beta1, priors.discount_beta2
     return float(
-        np.log1p(-hyper.discount_zero_prob)
+        np.log1p(-priors.discount_zero_prob)
         + (a1 - 1.0) * np.log(value)
         + (a2 - 1.0) * np.log1p(-value)
         - betaln(a1, a2)
     )
 
 
-def _strength_logprior(hyper: PDHyper, strength: float, discount: float) -> float:
+def _strength_logprior(priors: PriorConstants, strength: float, discount: float) -> float:
     x = strength + discount
     if x <= 0:
         return -np.inf
     return float(
-        hyper.strength_shape * np.log(hyper.strength_rate)
-        - gammaln(hyper.strength_shape)
-        + (hyper.strength_shape - 1.0) * np.log(x)
-        - hyper.strength_rate * x
+        priors.strength_shape * np.log(priors.strength_rate)
+        - gammaln(priors.strength_shape)
+        + (priors.strength_shape - 1.0) * np.log(x)
+        - priors.strength_rate * x
     )
 
 
@@ -147,8 +144,8 @@ def update_discount(hyper: PDHyper, cluster_sizes, rng) -> float:
         return cur
 
     def logpost(a):
-        out = _discount_logprior(hyper, a)
-        out += _strength_logprior(hyper, hyper.strength, a)
+        out = _discount_logprior(hyper.priors, a)
+        out += _strength_logprior(hyper.priors, hyper.strength, a)
         if cluster_sizes is not None and np.isfinite(out):
             out += eppf_log(a, hyper.strength, cluster_sizes)
         return out
@@ -167,12 +164,13 @@ def update_strength(hyper: PDHyper, cluster_sizes, rng) -> float:
     ``cluster_sizes=None`` the target is the conditional prior alone.
     """
     cur = hyper.strength
-    cand = rng.uniform(cur - hyper.strength_step, cur + hyper.strength_step)
+    step = hyper.tuning.strength_step
+    cand = rng.uniform(cur - step, cur + step)
     if cand <= -hyper.discount:
         return cur
 
     def logpost(b):
-        out = _strength_logprior(hyper, b, hyper.discount)
+        out = _strength_logprior(hyper.priors, b, hyper.discount)
         if cluster_sizes is not None:
             out += eppf_log(hyper.discount, b, cluster_sizes)
         return out
@@ -182,11 +180,12 @@ def update_strength(hyper: PDHyper, cluster_sizes, rng) -> float:
     return cur
 
 
-def update_base_scales(base: BaseMeasure, unique_locations, rng) -> BaseMeasure:
+def update_base_scales(base: BaseMeasure, unique_locations, rng) -> np.ndarray:
     """Conjugate draw of the base-measure variances given cluster locations.
 
-    Coordinate ``l`` gets InvGamma(shape + r/2, scale + sum_j mu*_{jl}^2 / 2).
-    An empty location list (r = 0) returns a draw from the prior.
+    Returns the drawn variances; coordinate ``l`` gets
+    InvGamma(shape + r/2, scale + sum_j mu*_{jl}^2 / 2). An empty location
+    list (r = 0) returns a draw from the prior.
     """
     mus = np.asarray(unique_locations, dtype=float)
     q = base.base_var.shape[0]
@@ -197,8 +196,6 @@ def update_base_scales(base: BaseMeasure, unique_locations, rng) -> BaseMeasure:
         if mus.shape[1] != q:
             raise ValueError("location dimension mismatch")
         r, ssq = mus.shape[0], (mus ** 2).sum(axis=0)
-    shape = base.prior_shape + 0.5 * r
-    scale = base.prior_scale + 0.5 * ssq
-    draws = scale / rng.standard_gamma(shape, size=q)
-    return BaseMeasure(base_var=draws, prior_shape=base.prior_shape,
-                       prior_scale=base.prior_scale)
+    shape = base.priors.base_prior_shape + 0.5 * r
+    scale = base.priors.base_prior_scale + 0.5 * ssq
+    return scale / rng.standard_gamma(shape, size=q)

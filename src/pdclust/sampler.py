@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .covariance import CovarianceState, scatter_matrix, update_correlation, upd
 from .latent import LatentState, fit_transforms, initial_latents, resample_latents
 from .pdprocess import BaseMeasure, PDHyper, update_base_scales, update_discount, \
     update_strength, urn_weights
-from .schema import ChainInvariantError, Dataset, Schema
+from .schema import (ChainInvariantError, Dataset, PriorConstants, Schema, TuningConstants,
+                     _check_positive)
 
 WEIGHT_MODE_IGNORE = "ignore"
 WEIGHT_MODE_DESIGN = "design"
@@ -64,59 +65,11 @@ class MixtureState:
             raise ChainInvariantError("labels and counts disagree")
 
 
-def _check_positive(owner, names):
-    """Raise ValueError naming the first of ``names`` that is not a finite number > 0."""
-    for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not 0 < value < np.inf:
-            raise ValueError(f"{name} must be a positive number, got {value!r}")
-
-
 def _check_count(owner, name, least):
     """Raise ValueError naming ``name`` unless it is an integer >= ``least``."""
     value = getattr(owner, name)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PriorConstants:
-    """All fixed prior constants of the model.
-
-    The inverse-gamma priors of the free kernel variances and of the
-    base-measure variances; the discount's point mass at 0 and Beta; the
-    Gamma prior on strength + discount.
-    """
-
-    var_prior_shape: float = 1.0
-    var_prior_scale: float = 1.0
-    base_prior_shape: float = 1.0
-    base_prior_scale: float = 1.0
-    discount_zero_prob: float = 0.5
-    discount_beta1: float = 1.0
-    discount_beta2: float = 1.0
-    strength_shape: float = 1.0
-    strength_rate: float = 1.0
-
-    def __post_init__(self):
-        value = self.discount_zero_prob
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not 0.0 <= value <= 1.0:
-            raise ValueError(f"discount_zero_prob must lie in [0, 1], got {value!r}")
-        _check_positive(self, [f.name for f in fields(self) if f.name != "discount_zero_prob"])
-
-
-@dataclass(frozen=True)
-class TuningConstants:
-    """Metropolis proposal tuning."""
-
-    var_proposal_shape: float = 5.0
-    corr_window_frac: float = 4.0
-    strength_step: float = 2.0
-
-    def __post_init__(self):
-        _check_positive(self, [f.name for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -405,7 +358,7 @@ def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng):
         update_mu_i(i, latents, mixture, cov, base, pis[i], var_scale, rng, tables)
     update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
 
-    base.base_var = update_base_scales(base, mixture.mus, rng).base_var
+    base.base_var = update_base_scales(base, mixture.mus, rng)
 
     scatter = scatter_matrix(latents.z, mixture.mus[mixture.labels], pis, var_scale)
     for j in np.flatnonzero(cov.free):
@@ -427,21 +380,12 @@ def _build_states(schema: Schema, config: SamplerConfig, labels, mus, sdevs, cor
     Returns ``(mixture, cov, base, hyper)``. ``labels`` must be contiguous,
     so the cluster counts are their bincount.
     """
-    pr, tu = config.priors, config.tuning
+    priors, tuning = config.priors, config.tuning
     mixture = MixtureState(labels=labels, mus=mus, counts=np.bincount(labels))
-    cov = CovarianceState(
-        sdevs=sdevs, corr=corr, free=schema.free_mask(),
-        var_prior_shape=pr.var_prior_shape, var_prior_scale=pr.var_prior_scale,
-        var_proposal_shape=tu.var_proposal_shape, corr_window_frac=tu.corr_window_frac,
-    )
-    base = BaseMeasure(base_var, pr.base_prior_shape, pr.base_prior_scale)
-    hyper = PDHyper(
-        discount=discount, strength=strength,
-        discount_zero_prob=pr.discount_zero_prob,
-        discount_beta1=pr.discount_beta1, discount_beta2=pr.discount_beta2,
-        strength_shape=pr.strength_shape, strength_rate=pr.strength_rate,
-        strength_step=tu.strength_step,
-    )
+    cov = CovarianceState(sdevs=sdevs, corr=corr, free=schema.free_mask(),
+                          priors=priors, tuning=tuning)
+    base = BaseMeasure(base_var, priors=priors)
+    hyper = PDHyper(discount=discount, strength=strength, priors=priors, tuning=tuning)
     return mixture, cov, base, hyper
 
 
@@ -601,12 +545,11 @@ def _ancestral_draw(schema: Schema, config: SamplerConfig, pis, rng):
         rho = rng.uniform(-1.0, 1.0)
         corr[0, 1] = corr[1, 0] = rho
 
-    urn = PDHyper(discount=discount, strength=strength)  # the urn reads only these two
     labels = np.empty(n, dtype=np.int64)
     counts: list[int] = []
     mus_list: list[np.ndarray] = []
     for i in range(n):
-        w = urn_weights(urn, np.asarray(counts), i + 1)
+        w = urn_weights(discount, strength, np.asarray(counts), i + 1)
         idx = int(np.searchsorted(np.cumsum(w), rng.random()))
         idx = min(idx, len(counts))
         if idx == 0:

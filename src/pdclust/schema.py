@@ -9,7 +9,8 @@ its variance pinned to 1 because the data only identify its mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -36,6 +37,54 @@ class ChainInvariantError(AssertionError):
 
     Raised, not asserted, so that the checks also run under ``python -O``.
     """
+
+
+def _check_positive(owner, names):
+    """Raise ValueError naming the first of ``names`` that is not a finite number > 0."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not 0 < value < np.inf:
+            raise ValueError(f"{name} must be a positive number, got {value!r}")
+
+
+@dataclass(frozen=True)
+class PriorConstants:
+    """All fixed prior constants of the model.
+
+    The inverse-gamma priors of the free kernel variances and of the
+    base-measure variances; the discount's point mass at 0 and Beta; the
+    Gamma prior on strength + discount.
+    """
+
+    var_prior_shape: float = 1.0
+    var_prior_scale: float = 1.0
+    base_prior_shape: float = 1.0
+    base_prior_scale: float = 1.0
+    discount_zero_prob: float = 0.5
+    discount_beta1: float = 1.0
+    discount_beta2: float = 1.0
+    strength_shape: float = 1.0
+    strength_rate: float = 1.0
+
+    def __post_init__(self):
+        value = self.discount_zero_prob
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not 0.0 <= value <= 1.0:
+            raise ValueError(f"discount_zero_prob must lie in [0, 1], got {value!r}")
+        _check_positive(self, [f.name for f in fields(self) if f.name != "discount_zero_prob"])
+
+
+@dataclass(frozen=True)
+class TuningConstants:
+    """Metropolis proposal tuning."""
+
+    var_proposal_shape: float = 5.0
+    corr_window_frac: float = 4.0
+    strength_step: float = 2.0
+
+    def __post_init__(self):
+        _check_positive(self, [f.name for f in fields(self)])
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,9 @@ class TestCriterion07SamplerCorrectness:
 
 class TestCriterion08PriorRecovery:
     def test_correlation_marginals_uniform(self):
-        state = CovarianceState(np.ones(3), np.eye(3), [True] * 3, 2.0, 2.0)
+        state = CovarianceState(np.ones(3), np.eye(3), [True] * 3,
+                                priors=pc.PriorConstants(var_prior_shape=2.0,
+                                                         var_prior_scale=2.0))
         rng = np.random.default_rng(42)
         kept = []
         for t in range(100_000):
@@ -239,7 +241,8 @@ class TestCriterion08PriorRecovery:
         assert ok
 
     def test_strength_prior_recovery(self):
-        hyper = PDHyper(0.0, 1.0, strength_shape=1.0, strength_rate=1.0)
+        hyper = PDHyper(0.0, 1.0, priors=pc.PriorConstants(strength_shape=1.0,
+                                                           strength_rate=1.0))
         rng = np.random.default_rng(8)
         trace = []
         for _ in range(80_000):
@@ -254,7 +257,7 @@ class TestCriterion08PriorRecovery:
 
     def test_discount_point_mass_recovery(self):
         alpha = 0.5
-        hyper = PDHyper(0.0, 1.0, discount_zero_prob=alpha)
+        hyper = PDHyper(0.0, 1.0, priors=pc.PriorConstants(discount_zero_prob=alpha))
         rng = np.random.default_rng(9)
         hits = []
         for _ in range(60_000):
@@ -276,7 +279,9 @@ class TestCriterion08PriorRecovery:
         # invariant, every endpoint is exactly prior-distributed and the
         # endpoints are iid, however slowly a single chain mixes.
         prior = stats.invgamma(a=2.5, scale=8.0)
-        state = CovarianceState(np.ones(1), np.eye(1), [True], 2.5, 8.0)
+        state = CovarianceState(np.ones(1), np.eye(1), [True],
+                                priors=pc.PriorConstants(var_prior_shape=2.5,
+                                                         var_prior_scale=8.0))
         rng = np.random.default_rng(10)
         starts = prior.rvs(size=3000, random_state=rng)
         ends = np.empty_like(starts)
@@ -288,9 +293,10 @@ class TestCriterion08PriorRecovery:
             ends[c] = state.sdevs[0] ** 2
         p_var = stats.kstest(ends, prior.cdf).pvalue
         # base-measure variances, empty-location bypass draws from the prior
-        base = pc.BaseMeasure(np.ones(2), prior_shape=2.1, prior_scale=30.0)
+        base = pc.BaseMeasure(np.ones(2), priors=pc.PriorConstants(base_prior_shape=2.1,
+                                                                   base_prior_scale=30.0))
         draws = np.array([
-            pc.update_base_scales(base, np.empty((0, 2)), rng).base_var[0]
+            pc.update_base_scales(base, np.empty((0, 2)), rng)[0]
             for _ in range(10_000)
         ])
         p_base = stats.kstest(draws, stats.invgamma(a=2.1, scale=30.0).cdf).pvalue
@@ -333,7 +339,8 @@ class TestCriterion09OracleEquivalences:
 
     def test_variance_chain_matches_direct_inverse_gamma(self):
         d0, d1, n, s11 = 2.1, 30.0, 40, 55.0
-        state = CovarianceState(np.ones(1), np.eye(1), [True], d0, d1)
+        state = CovarianceState(np.ones(1), np.eye(1), [True],
+                                priors=pc.PriorConstants(var_prior_shape=d0, var_prior_scale=d1))
         scatter = np.array([[s11]])
         rng = np.random.default_rng(12)
         trace = np.empty(100_000)

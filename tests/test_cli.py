@@ -58,14 +58,27 @@ class TestSchemaFile:
         assert specs[0].levels == ("metro", "urban", "rural")
         assert weight_col == "w" and skipped == ["junk"]
 
-    def test_bad_lines_raise(self, tmp_path):
+    def test_bad_lines_raise(self, tmp_path, capsys):
         path = tmp_path / "s.txt"
-        path.write_text("x mystery\n")
-        with pytest.raises(DataFormatError):
-            read_schema_file(path)
-        path.write_text("x ordinal\n")
-        with pytest.raises(DataFormatError):
-            read_schema_file(path)
+        for line in ("x mystery", "x ordinal",
+                     "income continuous transform=logshift",
+                     "x ordinal levels=3 transfrom=foo",
+                     "x continuous levels=3",
+                     "w weight transform=log-shift",
+                     "junk skip levels=2",
+                     "income continuous transform=log-shift shift_quantile=1.5",
+                     "income continuous shift_quantile=abc"):
+            path.write_text(f"a continuous\n{line}\n")
+            with pytest.raises(DataFormatError) as err:
+                read_schema_file(path)
+            assert str(err.value).startswith(f"{path}:2: "), line
+        # validate reports the line and exits 2 instead of checking untransformed data
+        path.write_text("income continuous transform=logshift\n")
+        write_data_csv(tmp_path / "data.csv", Dataset.from_values([[3.0], [5.0]]),
+                       [continuous_spec("income")])
+        code = main(["validate", "--data", str(tmp_path / "data.csv"), "--schema", str(path)])
+        assert code == EXIT_VALIDATION
+        assert f"{path}:1: " in capsys.readouterr().err
 
 
 class TestDataCsv:
@@ -449,6 +462,21 @@ class TestVerbs:
         with pytest.raises(CliError) as err:
             summarize_command(str(tmp / "out"), selection="best")
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("damage", [
+        lambda manifest: "{",
+        lambda manifest: json.dumps({k: v for k, v in manifest.items() if k != "config"}),
+        lambda manifest: json.dumps({k: v for k, v in manifest.items() if k != "chains"}),
+        lambda manifest: json.dumps({**manifest, "chains": [{"files": {}}]}),
+        lambda manifest: json.dumps([manifest]),
+    ], ids=["not-json", "no-config", "no-chains", "no-partitions", "not-an-object"])
+    def test_summarize_rejects_a_damaged_manifest(self, scenario_files, damage, capsys):
+        tmp, _, _ = scenario_files
+        run_command(small_run_config(tmp))
+        path = tmp / "out" / "manifest.json"
+        path.write_text(damage(json.loads(path.read_text())))
+        assert main(["summarize", "--run", str(tmp / "out")]) == EXIT_USAGE
+        assert f"{path} is not a run manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize("selection", ["dahl", "min-hm"])
     def test_summarize_rejects_partition_width_mismatch(self, scenario_files,

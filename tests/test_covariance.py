@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pdclust import CovarianceState, compose_sigma, correlation_support, scatter_matrix
+from pdclust import (CovarianceState, PriorConstants, compose_sigma, correlation_support,
+                     scatter_matrix)
 from pdclust.covariance import (_correlation_factor, _correlation_logpost,
                                 _gamma_logpdf_shape_scale, chol_logdet,
                                 update_correlation, update_variance)
+
+#: Inverse-gamma(2, 2) on the free variances.
+PRIOR_2_2 = PriorConstants(var_prior_shape=2.0, var_prior_scale=2.0)
 
 
 class TestScatterMatrix:
@@ -71,14 +75,15 @@ class TestVarianceUpdate:
         assert fwd == back  # correction cancels when the proposal equals the state
 
     def test_fixed_coordinate_rejected(self):
-        state = CovarianceState(np.ones(2), np.eye(2), [True, False], 2.0, 2.0)
+        state = CovarianceState(np.ones(2), np.eye(2), [True, False], priors=PRIOR_2_2)
         with pytest.raises(ValueError):
             update_variance(state, 1, np.zeros((2, 2)), 0, np.random.default_rng(0))
 
     def test_conjugate_case_matches_direct_sampler(self):
         # q = 1: the target is exactly InvGamma(shape + n/2, scale + s/2)
         d0, d1, n, s11 = 2.1, 30.0, 40, 55.0
-        state = CovarianceState(np.ones(1), np.eye(1), [True], d0, d1)
+        state = CovarianceState(np.ones(1), np.eye(1), [True],
+                                priors=PriorConstants(var_prior_shape=d0, var_prior_scale=d1))
         scatter = np.array([[s11]])
         rng = np.random.default_rng(10)
         trace = np.empty(120_000)
@@ -107,7 +112,8 @@ class TestVarianceUpdate:
         assert accepted > 0
 
     def test_prior_only_mode_recovers_inverse_gamma(self):
-        state = CovarianceState(np.ones(1), np.eye(1), [True], 2.5, 4.0)
+        state = CovarianceState(np.ones(1), np.eye(1), [True],
+                                priors=PriorConstants(var_prior_shape=2.5, var_prior_scale=4.0))
         rng = np.random.default_rng(11)
         trace = np.empty(60_000)
         for t in range(trace.size):
@@ -212,7 +218,7 @@ def assert_every_cache_is_fresh(state):
 
 class TestCorrelationUpdate:
     def test_rejects_lower_triangle_call(self):
-        state = CovarianceState(np.ones(2), np.eye(2), [True, True], 2.0, 2.0)
+        state = CovarianceState(np.ones(2), np.eye(2), [True, True], priors=PRIOR_2_2)
         with pytest.raises(ValueError):
             update_correlation(state, 1, 0, np.zeros((2, 2)), 0,
                                np.random.default_rng(0))
@@ -220,7 +226,7 @@ class TestCorrelationUpdate:
     def test_prior_only_marginals_are_uniform_q3(self):
         # entries de-correlate slowly through the joint support geometry, so
         # thin hard before applying the KS test
-        state = CovarianceState(np.ones(3), np.eye(3), [True] * 3, 2.0, 2.0)
+        state = CovarianceState(np.ones(3), np.eye(3), [True] * 3, priors=PRIOR_2_2)
         rng = np.random.default_rng(42)
         kept = []
         for t in range(40_000):
@@ -236,7 +242,7 @@ class TestCorrelationUpdate:
 
     def test_accepted_moves_keep_valid_state(self):
         rng = np.random.default_rng(13)
-        state = CovarianceState(np.ones(4), np.eye(4), [True] * 4, 2.0, 2.0)
+        state = CovarianceState(np.ones(4), np.eye(4), [True] * 4, priors=PRIOR_2_2)
         z = rng.standard_normal((60, 4)) @ random_correlation(4, 99)
         scatter = scatter_matrix(z, np.zeros_like(z), np.ones(60), 1.0)
         accepted = 0
@@ -290,7 +296,7 @@ class TestCorrelationUpdate:
 
 def test_fixed_sdevs_never_drift():
     rng = np.random.default_rng(14)
-    state = CovarianceState(np.ones(3), np.eye(3), [True, False, False], 2.0, 2.0)
+    state = CovarianceState(np.ones(3), np.eye(3), [True, False, False], priors=PRIOR_2_2)
     z = rng.standard_normal((40, 3))
     scatter = scatter_matrix(z, np.zeros_like(z), np.ones(40), 1.0)
     for _ in range(200):

@@ -3,13 +3,16 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from pdclust import (Dataset, TransformSpec, build_schema, conditional_moments,
-                     continuous_spec, decode_ordinal, initial_latents, nominal_spec,
-                     ordinal_spec, transform_continuous)
+from pdclust import (Dataset, PriorConstants, TransformSpec, build_schema,
+                     conditional_moments, continuous_spec, decode_ordinal, initial_latents,
+                     nominal_spec, ordinal_spec, transform_continuous)
 from pdclust.covariance import CovarianceState
 from pdclust.latent import (decode_nominal_rows, fit_transforms, resample_latents,
                             sample_truncated_normal_many)
 from pdclust.sampler import MixtureState
+
+#: Inverse-gamma(2, 2) on the free variances.
+PRIOR_2_2 = PriorConstants(var_prior_shape=2.0, var_prior_scale=2.0)
 
 
 class TestTransforms:
@@ -193,7 +196,8 @@ class TestResampleLatents:
         state = initial_latents(ds, schema)
         before = state.z.copy()
         mixture = MixtureState(np.arange(ds.n), state.z.copy(), np.ones(ds.n, dtype=np.int64))
-        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
+        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(),
+                              priors=PRIOR_2_2)
         resample_latents(state, mixture, cov, 1.0, np.ones(30), rng)
         assert np.array_equal(state.z, before)
 
@@ -202,7 +206,8 @@ class TestResampleLatents:
         state = initial_latents(ds, schema)
         mixture = MixtureState(np.arange(ds.n), np.zeros_like(state.z),
                                np.ones(ds.n, dtype=np.int64))
-        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
+        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(),
+                              priors=PRIOR_2_2)
         for _ in range(3):
             resample_latents(state, mixture, cov, 1.0, np.ones(ds.n), rng)
         ones = ds.values[:, 0] == 1.0
@@ -225,7 +230,8 @@ class TestResampleLatents:
         state = initial_latents(ds, schema)
         state.check_consistent()
         mixture = MixtureState(np.arange(n), state.z * 0.5, np.ones(n, dtype=np.int64))
-        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
+        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(),
+                              priors=PRIOR_2_2)
         pis = rng.uniform(0.5, 1.0, n)
         for _ in range(10):
             resample_latents(state, mixture, cov, 1.3, pis, rng)
@@ -240,7 +246,8 @@ class TestResampleLatents:
         ds = Dataset.from_values(rng.integers(0, 5, (n, 1)).astype(float))
         state = initial_latents(ds, schema)
         mixture = MixtureState(np.arange(n), np.zeros_like(state.z), np.ones(n, dtype=np.int64))
-        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
+        cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(),
+                              priors=PRIOR_2_2)
         for _ in range(5):
             resample_latents(state, mixture, cov, 1.0, np.ones(n), rng)
         for i in range(n):

@@ -22,16 +22,16 @@ def ewens_log(strength, sizes):
 
 class TestUrnWeights:
     def test_dirichlet_case(self):
-        w = urn_weights(PDHyper(0.0, 1.0), [1], n=2)
+        w = urn_weights(0.0, 1.0, [1], n=2)
         assert np.allclose(w, [0.5, 0.5])
 
     def test_discounted_case(self):
-        w = urn_weights(PDHyper(0.5, 1.0), [2], n=3)
+        w = urn_weights(0.5, 1.0, [2], n=3)
         assert np.allclose(w, [0.5, 0.5])
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            urn_weights(PDHyper(0.0, 1.0), [2, 2], n=3)
+            urn_weights(0.0, 1.0, [2, 2], n=3)
 
     @given(
         st.floats(0.0, 0.95),
@@ -40,9 +40,8 @@ class TestUrnWeights:
     )
     @settings(max_examples=200, deadline=None)
     def test_weights_form_a_distribution(self, discount, extra, sizes):
-        hyper = PDHyper(discount, -discount + extra)
         n = sum(sizes) + 1
-        w = urn_weights(hyper, sizes, n)
+        w = urn_weights(discount, -discount + extra, sizes, n)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-12
 
@@ -113,7 +112,7 @@ class TestHyperUpdates:
 
     def test_prior_recovery_point_mass(self):
         # likelihood disabled: cycling both updates recovers P(discount = 0)
-        hyper = PDHyper(0.0, 1.0, discount_zero_prob=0.35)
+        hyper = PDHyper(0.0, 1.0, priors=PriorConstants(discount_zero_prob=0.35))
         rng = np.random.default_rng(2)
         hits = []
         for _ in range(30_000):
@@ -126,7 +125,7 @@ class TestHyperUpdates:
         assert abs(hits.mean() - 0.35) < 3 * max(se, 1e-3)
 
     def test_prior_recovery_strength_gamma(self):
-        hyper = PDHyper(0.2, 1.0, strength_shape=1.5, strength_rate=0.8)
+        hyper = PDHyper(0.2, 1.0, priors=PriorConstants(strength_shape=1.5, strength_rate=0.8))
         rng = np.random.default_rng(3)
         trace = []
         for _ in range(60_000):
@@ -147,10 +146,11 @@ class TestHyperUpdates:
 
 class TestBaseScales:
     def test_zero_locations_posterior(self):
-        base = BaseMeasure(np.ones(2), prior_shape=2.1, prior_scale=30.0)
+        base = BaseMeasure(np.ones(2), priors=PriorConstants(base_prior_shape=2.1,
+                                                          base_prior_scale=30.0))
         rng = np.random.default_rng(0)
         draws = np.array([
-            update_base_scales(base, np.zeros((2, 2)), rng).base_var for _ in range(8000)
+            update_base_scales(base, np.zeros((2, 2)), rng) for _ in range(8000)
         ])
         # two clusters of zero locations: IGa(2.1 + 1, 30)
         dist = stats.invgamma(a=3.1, scale=30.0)
@@ -158,20 +158,22 @@ class TestBaseScales:
         assert stats.kstest(draws[:, 1], dist.cdf).pvalue > 0.01
 
     def test_single_location_posterior(self):
-        base = BaseMeasure(np.ones(1), prior_shape=1.0, prior_scale=1.0)
+        base = BaseMeasure(np.ones(1), priors=PriorConstants(base_prior_shape=1.0,
+                                                          base_prior_scale=1.0))
         rng = np.random.default_rng(1)
         draws = np.array([
-            update_base_scales(base, np.array([[2.0]]), rng).base_var[0]
+            update_base_scales(base, np.array([[2.0]]), rng)[0]
             for _ in range(8000)
         ])
         # r = 1, location 2: IGa(1.5, 1 + 2) = IGa(1.5, 3)
         assert stats.kstest(draws, stats.invgamma(a=1.5, scale=3.0).cdf).pvalue > 0.01
 
     def test_empty_locations_draw_from_prior(self):
-        base = BaseMeasure(np.ones(3), prior_shape=2.0, prior_scale=5.0)
+        base = BaseMeasure(np.ones(3), priors=PriorConstants(base_prior_shape=2.0,
+                                                          base_prior_scale=5.0))
         rng = np.random.default_rng(2)
         draws = np.array([
-            update_base_scales(base, np.empty((0, 3)), rng).base_var for _ in range(8000)
+            update_base_scales(base, np.empty((0, 3)), rng) for _ in range(8000)
         ])
         assert stats.kstest(draws[:, 1], stats.invgamma(a=2.0, scale=5.0).cdf).pvalue > 0.01
 

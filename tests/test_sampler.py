@@ -26,6 +26,8 @@ from pdclust.simgen import STUDY1, ScenarioSpec
 
 PRIOR_C = PriorConstants(var_prior_shape=2.1, var_prior_scale=30.0,
                          base_prior_shape=2.1, base_prior_scale=30.0)
+PRIOR_2_2 = PriorConstants(var_prior_shape=2.0, var_prior_scale=2.0,
+                           base_prior_shape=2.0, base_prior_scale=2.0)
 
 
 def tiny_states(n=6, q=1, seed=0, z=None):
@@ -37,8 +39,9 @@ def tiny_states(n=6, q=1, seed=0, z=None):
     latents = LatentState(z=z.copy(), dataset=ds, schema=schema)
     n = z.shape[0]
     mixture = MixtureState(np.arange(n), z.copy(), np.ones(n, dtype=np.int64))
-    cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(), 2.0, 2.0)
-    base = BaseMeasure(np.ones(q), 2.0, 2.0)
+    cov = CovarianceState(np.ones(schema.q), np.eye(schema.q), schema.free_mask(),
+                          priors=PRIOR_2_2)
+    base = BaseMeasure(np.ones(q), priors=PRIOR_2_2)
     hyper = PDHyper(0.0, 1.0)
     return latents, mixture, cov, base, hyper, rng
 
@@ -227,46 +230,23 @@ class TestSweepAndChain:
         assert np.allclose(effective_pis(ds, "design"), [0.5, 0.25])
 
 
-#: Where the built states keep each prior and tuning constant of a SamplerConfig.
-BUILT_FROM = {
-    "discount_zero_prob": ("hyper", "discount_zero_prob"),
-    "discount_beta1": ("hyper", "discount_beta1"),
-    "discount_beta2": ("hyper", "discount_beta2"),
-    "strength_shape": ("hyper", "strength_shape"),
-    "strength_rate": ("hyper", "strength_rate"),
-    "strength_step": ("hyper", "strength_step"),
-    "var_prior_shape": ("cov", "var_prior_shape"),
-    "var_prior_scale": ("cov", "var_prior_scale"),
-    "var_proposal_shape": ("cov", "var_proposal_shape"),
-    "corr_window_frac": ("cov", "corr_window_frac"),
-    "base_prior_shape": ("base", "prior_shape"),
-    "base_prior_scale": ("base", "prior_scale"),
-}
-
-
 class TestStateBuilder:
     def test_every_config_constant_reaches_the_states(self):
-        priors = PriorConstants(discount_zero_prob=0.3, discount_beta1=1.5,
-                                discount_beta2=2.5, strength_shape=3.5, strength_rate=0.7,
-                                var_prior_shape=2.2, var_prior_scale=3.3,
-                                base_prior_shape=4.4, base_prior_scale=5.5)
-        tuning = TuningConstants(var_proposal_shape=7.0, corr_window_frac=3.0,
-                                 strength_step=1.25)
-        constants = {**dataclasses.asdict(priors), **dataclasses.asdict(tuning)}
-        defaults = {**dataclasses.asdict(PriorConstants()),
-                    **dataclasses.asdict(TuningConstants())}
-        assert set(constants) == set(BUILT_FROM)
-        assert all(constants[name] != defaults[name] for name in constants)
-
-        cfg = SamplerConfig(iterations=2, burnin=1, priors=priors, tuning=tuning)
+        cfg = SamplerConfig(iterations=2, burnin=1, priors=PRIOR_C,
+                            tuning=TuningConstants(strength_step=1.25))
         schema = build_schema([continuous_spec("y1"), ordinal_spec("y2", 2)])
         ds = Dataset.from_values([[0.5, 0.0], [1.5, 1.0], [-0.2, 1.0]])
-        mixture, cov, base, hyper = init_states(initial_latents(ds, schema), schema, cfg)
+        built = init_states(initial_latents(ds, schema), schema, cfg)
         drawn = _ancestral_draw(schema, cfg, np.ones(3), np.random.default_rng(0))[:4]
-        for built in ((mixture, cov, base, hyper), drawn):
-            states = dict(zip(("mixture", "cov", "base", "hyper"), built))
-            for name, (owner, attr) in BUILT_FROM.items():
-                assert getattr(states[owner], attr) == constants[name], name
+        for _, cov, base, hyper in (built, drawn):
+            assert cov.priors is cfg.priors and base.priors is cfg.priors
+            assert hyper.priors is cfg.priors
+            assert cov.tuning is cfg.tuning and hyper.tuning is cfg.tuning
+
+        constants = {f.name for cls in (PriorConstants, TuningConstants)
+                     for f in dataclasses.fields(cls)}
+        for cls in (CovarianceState, PDHyper, BaseMeasure):
+            assert not constants & {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
 def _mixture_counts_off():
@@ -274,7 +254,7 @@ def _mixture_counts_off():
 
 
 def _covariance_not_symmetric():
-    cov = CovarianceState(np.ones(2), np.eye(2), [True, True], 2.0, 2.0)
+    cov = CovarianceState(np.ones(2), np.eye(2), [True, True], priors=PRIOR_2_2)
     cov.corr[0, 1] = 0.3
     cov.check()
 
@@ -313,11 +293,7 @@ def test_state_checks_survive_optimised_python():
 class TestGewekeHarness:
     def test_smoke_run_passes(self):
         schema = build_schema([continuous_spec("y1"), ordinal_spec("y2", 2)])
-        cfg = SamplerConfig(iterations=2, burnin=1, weight_mode="design",
-                            priors=PriorConstants(var_prior_shape=2.0,
-                                                  var_prior_scale=2.0,
-                                                  base_prior_shape=2.0,
-                                                  base_prior_scale=2.0))
+        cfg = SamplerConfig(iterations=2, burnin=1, weight_mode="design", priors=PRIOR_2_2)
         report = geweke_joint_test(schema, cfg, draws=3000, seed=7)
         assert len(report.names) == 12
         assert report.max_abs_z < 4.0  # loose smoke bound; full run in acceptance
@@ -405,7 +381,7 @@ def reference_update_correlation(state, j, k, scatter, n, rng, hastings=True):
     length = hi - lo
     if length <= 0.0:
         return False
-    half = length / state.corr_window_frac
+    half = length / state.tuning.corr_window_frac
     cur = float(state.corr[j, k])
     w_lo, w_hi = max(lo, cur - half), min(hi, cur + half)
     cand = rng.uniform(w_lo, w_hi)
@@ -441,7 +417,7 @@ def reference_gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rn
         reference_update_mu_i(i, latents, mixture, cov, base, hyper, pis[i], var_scale, rng,
                               log_new[i], log_const[i])
     update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
-    base.base_var = update_base_scales(base, mixture.mus, rng).base_var
+    base.base_var = update_base_scales(base, mixture.mus, rng)
     scatter = scatter_matrix(latents.z, mixture.mus[mixture.labels], pis, var_scale)
     for j in np.flatnonzero(cov.free):
         update_variance(cov, int(j), scatter, n, rng)
