@@ -21,9 +21,8 @@ from .sampler import (ChainOutput, GewekeReport, MixtureState, SamplerConfig,
                       effective_pis, geweke_joint_test, gibbs_sweep, run_chain,
                       update_mu_i, update_unique_mus, urn_sweep_terms)
 from .schema import (ChainInvariantError, Dataset, PriorConstants, Schema, SchemaError,
-                     TuningConstants, ValidationReport, VariableSpec, build_schema,
-                     continuous_spec, default_cutoffs, nominal_spec, ordinal_spec,
-                     validate_dataset)
+                     ValidationReport, VariableSpec, build_schema, continuous_spec,
+                     default_cutoffs, nominal_spec, ordinal_spec, validate_dataset)
 from .simgen import (MixtureDensity, ScenarioSpec, gen_study1, gen_study2,
                      scenario_sampler_settings, scenario_variable_specs,
                      study1_latents)

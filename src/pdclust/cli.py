@@ -27,9 +27,8 @@ from .dataio import (DataFormatError, read_data_csv, read_schema_file,
 from .latent import fit_transforms
 from .postproc import (cluster_summary, dahl_select, expand_variables, hm_measure,
                        min_hm_select, similarity)
-from .sampler import ChainOutput, SamplerConfig, run_chain
-from .schema import (Dataset, PriorConstants, SchemaError, TuningConstants, build_schema,
-                     validate_dataset)
+from .sampler import ChainOutput, SamplerConfig, _check_count, run_chain
+from .schema import Dataset, PriorConstants, SchemaError, build_schema, validate_dataset
 from .simgen import (STUDY1, STUDY2, ScenarioSpec, gen_study1, gen_study2,
                      scenario_sampler_settings, scenario_variable_specs)
 
@@ -51,11 +50,10 @@ PRESETS = {
 
 _PRESET_KEYS = ("var_prior_shape", "var_prior_scale", "base_prior_shape", "base_prior_scale")
 
-#: The model's prior and tuning constants, by field name, with their defaults.
-#: Each is a config key and a ``--flag``; a preset stands in for the defaults
-#: of the four variance-prior constants.
-_CONSTANTS = {f.name: f.default for cls in (PriorConstants, TuningConstants)
-              for f in dataclasses.fields(cls)}
+#: The model's prior constants, by field name, with their defaults. Each is a
+#: config key and a ``--flag``; a preset stands in for the defaults of the four
+#: variance-prior constants.
+_CONSTANTS = {f.name: f.default for f in dataclasses.fields(PriorConstants)}
 
 SELECTIONS = ("dahl", "min-hm")
 
@@ -90,8 +88,8 @@ class CliError(Exception):
 class RunConfig:
     """Fully resolved settings for one ``run`` invocation.
 
-    The prior and tuning constants are the sampler's own
-    :class:`PriorConstants` and :class:`TuningConstants`, which check them.
+    The prior constants are the sampler's own :class:`PriorConstants`, which
+    checks them.
     """
 
     data: str | None
@@ -107,7 +105,6 @@ class RunConfig:
     var_scale: str | float
     preset: str
     priors: PriorConstants
-    tuning: TuningConstants
     selection: str
     pool: bool
     similarity_csv: bool
@@ -121,13 +118,11 @@ class RunConfig:
             seed=self.seed if seed is None else seed,
             weight_mode=self.weight_mode,
             priors=self.priors,
-            tuning=self.tuning,
         )
 
     def as_mapping(self) -> dict:
         """The settings under their config keys, in the order of the defaults."""
-        flat = {**vars(self), **dataclasses.asdict(self.priors),
-                **dataclasses.asdict(self.tuning)}
+        flat = {**vars(self), **dataclasses.asdict(self.priors)}
         return {key: flat[key] for key in _CONFIG_DEFAULTS}
 
 
@@ -183,14 +178,11 @@ def _build_run_config(mapping: dict) -> RunConfig:
         raise CliError(EXIT_USAGE, f"preset=custom needs explicit {', '.join(missing)}")
 
     _check_selection(merged["selection"])
-    for key in ("chains", "workers"):
-        value = merged[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise CliError(EXIT_USAGE, f"{key} must be an integer >= 1, got {value!r}")
     try:
-        priors, tuning = (cls(**{f.name: merged.pop(f.name) for f in dataclasses.fields(cls)})
-                          for cls in (PriorConstants, TuningConstants))
-        cfg = RunConfig(priors=priors, tuning=tuning, **merged)
+        for key in ("chains", "workers"):
+            _check_count(key, merged[key], 1)
+        priors = PriorConstants(**{name: merged.pop(name) for name in _CONSTANTS})
+        cfg = RunConfig(priors=priors, **merged)
         # A positive wbar scales the variance-scale rule but keeps its sign, so
         # this checks every sampler setting before any input is read.
         cfg.sampler_config(wbar=1.0)
@@ -209,11 +201,6 @@ def _read_config(path) -> dict:
     if not isinstance(mapping, dict):
         raise CliError(EXIT_USAGE, f"config {path} must hold a JSON object")
     return mapping
-
-
-def parse_config(path) -> RunConfig:
-    """Load and validate a JSON config file."""
-    return _build_run_config(_read_config(path))
 
 
 def _layered_config(args: argparse.Namespace) -> RunConfig:

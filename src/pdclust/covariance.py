@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .schema import ChainInvariantError, PriorConstants, TuningConstants
+from .schema import ChainInvariantError, PriorConstants
+
+#: Shape of the gamma proposal for a free variance (its mean is the current value).
+VAR_PROPOSAL_SHAPE = 5.0
+#: A correlation entry's proposal window reaches a ``1/CORR_WINDOW_FRAC``
+#: share of its positive-definite support on each side of the current value.
+CORR_WINDOW_FRAC = 4.0
 
 
 def chol_logdet(chol: np.ndarray) -> float:
@@ -56,14 +62,13 @@ class CovarianceState:
     (``sigma``, ``chol``, ``sigma_inv``, ``logdet_sigma``, and
     ``corr_inv_chol``, ``corr_logdet``, ``corr_inv`` of ``corr``) are
     refreshed after every accepted move. The free variances' inverse-gamma
-    prior is read from ``priors`` and the proposal tunings from ``tuning``.
+    prior is read from ``priors``.
     """
 
     sdevs: np.ndarray
     corr: np.ndarray
     free: np.ndarray
     priors: PriorConstants = field(default_factory=PriorConstants)
-    tuning: TuningConstants = field(default_factory=TuningConstants)
     sigma: np.ndarray = field(init=False)
     chol: np.ndarray = field(init=False)
     sigma_inv: np.ndarray = field(init=False)
@@ -137,7 +142,7 @@ def update_variance(state: CovarianceState, j: int, scatter, n: int, rng,
     if not state.free[j]:
         raise ValueError(f"coordinate {j} has a fixed variance")
     cur = state.sdevs[j] ** 2
-    shape = state.tuning.var_proposal_shape
+    shape = VAR_PROPOSAL_SHAPE
     cand = rng.gamma(shape, cur / shape)
     if cand <= 0.0 or not np.isfinite(cand):
         return False
@@ -229,7 +234,7 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
                        hastings: bool = True) -> bool:
     """Windowed-uniform MH step on correlation entry (j, k), j < k.
 
-    The proposal window is the PD support shrunk to ``length/corr_window_frac``
+    The proposal window is the PD support shrunk to ``length/CORR_WINDOW_FRAC``
     on each side of the current value; the Hastings term corrects for the
     position-dependent window. The current matrix is scored from the
     factor cached on ``state``; only the candidate is factorised, and an
@@ -242,7 +247,7 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     length = hi - lo
     if length <= 0.0:
         return False
-    half = length / state.tuning.corr_window_frac
+    half = length / CORR_WINDOW_FRAC
     cur = float(state.corr[j, k])
     w_lo, w_hi = max(lo, cur - half), min(hi, cur + half)
     cand = rng.uniform(w_lo, w_hi)

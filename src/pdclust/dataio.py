@@ -43,6 +43,8 @@ def _parse_options(tokens, where, kind):
         key, val = tok.split("=", 1)
         if key not in _SCHEMA_KEYS[kind]:
             raise DataFormatError(f"{where}: {kind} lines take no {key}= option")
+        if key in opts:
+            raise DataFormatError(f"{where}: {key}= given more than once")
         opts[key] = val
     return opts
 

@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .schema import PriorConstants, TuningConstants
+from .schema import PriorConstants
+
+#: Half-width of the strength's uniform random-walk proposal.
+STRENGTH_STEP = 2.0
 
 
 @dataclass
@@ -25,13 +28,12 @@ class PDHyper:
     ``priors.discount_beta2``); the strength prior is
     Gamma(``priors.strength_shape``, ``priors.strength_rate``) on
     ``strength + discount``. The strength update uses a uniform random walk
-    of half-width ``tuning.strength_step``.
+    of half-width ``STRENGTH_STEP``.
     """
 
     discount: float = 0.0
     strength: float = 1.0
     priors: PriorConstants = field(default_factory=PriorConstants)
-    tuning: TuningConstants = field(default_factory=TuningConstants)
 
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
@@ -164,8 +166,7 @@ def update_strength(hyper: PDHyper, cluster_sizes, rng) -> float:
     ``cluster_sizes=None`` the target is the conditional prior alone.
     """
     cur = hyper.strength
-    step = hyper.tuning.strength_step
-    cand = rng.uniform(cur - step, cur + step)
+    cand = rng.uniform(cur - STRENGTH_STEP, cur + STRENGTH_STEP)
     if cand <= -hyper.discount:
         return cur
 

@@ -17,6 +17,9 @@ logger = logging.getLogger(__name__)
 _BLOCK = 64
 _STRIPE = 128
 
+#: Number format of the summary table's entries.
+SUMMARY_FORMAT = "%.6g"
+
 
 def _indicator_blocks(partitions):
     """Cluster-indicator matrices of the stored partitions, about 64 at a time.
@@ -187,10 +190,10 @@ class ClusterSummary:
     rows: np.ndarray
     cluster_ids: list[str]
 
-    def to_lines(self, fmt: str = "%.6g") -> list[str]:
+    def to_lines(self) -> list[str]:
         out = [",".join(["group"] + self.header)]
         for cid, row in zip(self.cluster_ids, self.rows.tolist()):
-            out.append(",".join([cid] + [fmt % x for x in row]))
+            out.append(",".join([cid] + [SUMMARY_FORMAT % x for x in row]))
         return out
 
 

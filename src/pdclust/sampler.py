@@ -21,8 +21,7 @@ from .covariance import CovarianceState, scatter_matrix, update_correlation, upd
 from .latent import LatentState, fit_transforms, initial_latents, resample_latents
 from .pdprocess import BaseMeasure, PDHyper, update_base_scales, update_discount, \
     update_strength, urn_weights
-from .schema import (ChainInvariantError, Dataset, PriorConstants, Schema, TuningConstants,
-                     _check_positive)
+from .schema import ChainInvariantError, Dataset, PriorConstants, Schema, _check_positive
 
 WEIGHT_MODE_IGNORE = "ignore"
 WEIGHT_MODE_DESIGN = "design"
@@ -65,9 +64,8 @@ class MixtureState:
             raise ChainInvariantError("labels and counts disagree")
 
 
-def _check_count(owner, name, least):
-    """Raise ValueError naming ``name`` unless it is an integer >= ``least``."""
-    value = getattr(owner, name)
+def _check_count(name, value, least):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
@@ -83,13 +81,12 @@ class SamplerConfig:
     seed: int = 0
     weight_mode: str = WEIGHT_MODE_DESIGN
     priors: PriorConstants = field(default_factory=PriorConstants)
-    tuning: TuningConstants = field(default_factory=TuningConstants)
 
     def __post_init__(self):
-        _check_count(self, "iterations", 1)
-        _check_count(self, "burnin", 0)
-        _check_count(self, "thinning", 1)
-        _check_count(self, "seed", 0)
+        _check_count("iterations", self.iterations, 1)
+        _check_count("burnin", self.burnin, 0)
+        _check_count("thinning", self.thinning, 1)
+        _check_count("seed", self.seed, 0)
         if self.burnin >= self.iterations:
             raise ValueError("burnin must be smaller than iterations")
         _check_positive(self, ["var_scale"])
@@ -375,17 +372,16 @@ def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng):
 
 def _build_states(schema: Schema, config: SamplerConfig, labels, mus, sdevs, corr,
                   base_var, discount: float, strength: float):
-    """Chain states from start values and the config's prior and tuning constants.
+    """Chain states from start values and the config's prior constants.
 
     Returns ``(mixture, cov, base, hyper)``. ``labels`` must be contiguous,
     so the cluster counts are their bincount.
     """
-    priors, tuning = config.priors, config.tuning
+    priors = config.priors
     mixture = MixtureState(labels=labels, mus=mus, counts=np.bincount(labels))
-    cov = CovarianceState(sdevs=sdevs, corr=corr, free=schema.free_mask(),
-                          priors=priors, tuning=tuning)
+    cov = CovarianceState(sdevs=sdevs, corr=corr, free=schema.free_mask(), priors=priors)
     base = BaseMeasure(base_var, priors=priors)
-    hyper = PDHyper(discount=discount, strength=strength, priors=priors, tuning=tuning)
+    hyper = PDHyper(discount=discount, strength=strength, priors=priors)
     return mixture, cov, base, hyper
 
 

@@ -76,18 +76,6 @@ class PriorConstants:
 
 
 @dataclass(frozen=True)
-class TuningConstants:
-    """Metropolis proposal tuning."""
-
-    var_proposal_shape: float = 5.0
-    corr_window_frac: float = 4.0
-    strength_step: float = 2.0
-
-    def __post_init__(self):
-        _check_positive(self, [f.name for f in fields(self)])
-
-
-@dataclass(frozen=True)
 class VariableSpec:
     """Declaration of one observed variable.
 

@@ -20,6 +20,8 @@ from .schema import Dataset, VariableSpec, continuous_spec, ordinal_spec
 STUDY1 = ("I", "II", "III")
 STUDY2 = ("IV", "V", "VI")
 
+#: Records per study-1 dataset.
+STUDY1_N = 100
 #: Three-component mixture behind study 1 (equal mixing).
 STUDY1_MEANS = np.array([[2.0, 2.0, 5.0], [6.0, 4.0, 2.0], [1.0, 6.0, 2.0]])
 STUDY1_VARS = np.array([[1.0, 1.0, 1.0], [0.1, 2.0, 0.1], [2.0, 0.1, 0.1]])
@@ -28,6 +30,9 @@ STUDY1_VARS = np.array([[1.0, 1.0, 1.0], [0.1, 2.0, 0.1], [2.0, 0.1, 0.1]])
 STUDY2_WEIGHTS = np.array([0.10, 0.05, 0.30, 0.25, 0.30])
 STUDY2_MEANS = np.array([10.0, 17.0, 20.0, 23.0, 32.0])
 STUDY2_VARS = np.array([4.0, 0.49, 1.0, 1.21, 25.0])
+#: Study 2's grid: one record per interval of this width, starting at 0.
+STUDY2_INTERVAL_WIDTH = 0.25
+STUDY2_N_INTERVALS = 200
 
 
 @dataclass(frozen=True)
@@ -36,21 +41,14 @@ class ScenarioSpec:
 
     scenario: str
     seed: int = 0
-    n: int | None = None
-    interval_width: float = 0.25
-    n_intervals: int = 200
 
     def __post_init__(self):
         if self.scenario not in STUDY1 + STUDY2:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.scenario in STUDY2 and self.n not in (None, self.n_intervals):
-            raise ValueError("study 2 draws exactly one record per interval")
 
     @property
     def n_records(self) -> int:
-        if self.scenario in STUDY1:
-            return 100 if self.n is None else self.n
-        return self.n_intervals
+        return STUDY1_N if self.scenario in STUDY1 else STUDY2_N_INTERVALS
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def study1_latents(spec: ScenarioSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     return z, comp
 
 
-def gen_study1(spec: ScenarioSpec, rng=None) -> tuple[Dataset, np.ndarray]:
+def gen_study1(spec: ScenarioSpec) -> tuple[Dataset, np.ndarray]:
     """Generate a study-1 dataset; returns (dataset, true component labels).
 
     Scenarios sharing a seed observe the same latent triples, only through
@@ -111,8 +109,7 @@ def gen_study1(spec: ScenarioSpec, rng=None) -> tuple[Dataset, np.ndarray]:
     """
     if spec.scenario not in STUDY1:
         raise ValueError(f"{spec.scenario} is not a study-1 scenario")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     z, comp = study1_latents(spec, rng)
     n = spec.n_records
 
@@ -132,7 +129,7 @@ def gen_study1(spec: ScenarioSpec, rng=None) -> tuple[Dataset, np.ndarray]:
     return Dataset.from_values(values), comp
 
 
-def gen_study2(spec: ScenarioSpec, rng=None) -> tuple[Dataset, MixtureDensity]:
+def gen_study2(spec: ScenarioSpec) -> tuple[Dataset, MixtureDensity]:
     """Generate the study-2 dataset; returns (dataset, density handle).
 
     One uniform draw per grid interval; each record's weight is the
@@ -141,11 +138,10 @@ def gen_study2(spec: ScenarioSpec, rng=None) -> tuple[Dataset, MixtureDensity]:
     """
     if spec.scenario not in STUDY2:
         raise ValueError(f"{spec.scenario} is not a study-2 scenario")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     density = MixtureDensity(STUDY2_WEIGHTS, STUDY2_MEANS, STUDY2_VARS)
 
-    taus = spec.interval_width * np.arange(spec.n_intervals + 1)
+    taus = STUDY2_INTERVAL_WIDTH * np.arange(STUDY2_N_INTERVALS + 1)
     cdf = density.cdf(taus)
     masses = np.diff(cdf)
     y = rng.uniform(taus[:-1], taus[1:])

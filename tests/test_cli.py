@@ -9,14 +9,14 @@ from pdclust import (Dataset, ScenarioSpec, build_schema, gen_study1,
                      scenario_variable_specs)
 import pdclust.cli
 from pdclust.cli import (CliError, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, PRESETS,
-                         bench_command, main, parse_config, resolve_var_scale,
-                         run_command, summarize_command, _build_run_config)
+                         bench_command, main, resolve_var_scale, run_command,
+                         summarize_command, _build_run_config, _read_config)
 from pdclust.dataio import (DataFormatError, read_data_csv, read_schema_file,
                             read_similarity_binary, write_data_csv,
                             write_schema_file, write_similarity_binary,
                             write_text_output)
 from pdclust.latent import TransformSpec
-from pdclust.sampler import PriorConstants, TuningConstants
+from pdclust.sampler import PriorConstants
 from pdclust.schema import continuous_spec, nominal_spec, ordinal_spec
 
 
@@ -67,7 +67,9 @@ class TestSchemaFile:
                      "w weight transform=log-shift",
                      "junk skip levels=2",
                      "income continuous transform=log-shift shift_quantile=1.5",
-                     "income continuous shift_quantile=abc"):
+                     "income continuous shift_quantile=abc",
+                     "x ordinal levels=2 levels=3",
+                     "y continuous transform=log-shift transform=identity"):
             path.write_text(f"a continuous\n{line}\n")
             with pytest.raises(DataFormatError) as err:
                 read_schema_file(path)
@@ -79,6 +81,11 @@ class TestSchemaFile:
         code = main(["validate", "--data", str(tmp_path / "data.csv"), "--schema", str(path)])
         assert code == EXIT_VALIDATION
         assert f"{path}:1: " in capsys.readouterr().err
+        # a repeated key is named, not silently overridden by its last value
+        path.write_text("income continuous transform=log-shift transform=identity\n")
+        code = main(["validate", "--data", str(tmp_path / "data.csv"), "--schema", str(path)])
+        assert code == EXIT_VALIDATION
+        assert f"{path}:1: transform=" in capsys.readouterr().err
 
 
 class TestDataCsv:
@@ -153,14 +160,14 @@ class TestConfig:
     def test_preset_c_expansion(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "C"}))
-        cfg = parse_config(path)
+        cfg = _build_run_config(_read_config(path))
         assert cfg.priors.var_prior_shape == 2.1 and cfg.priors.var_prior_scale == 30.0
         assert cfg.priors.base_prior_shape == 2.1 and cfg.priors.base_prior_scale == 30.0
 
     def test_preset_a_expansion(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "A"}))
-        cfg = parse_config(path)
+        cfg = _build_run_config(_read_config(path))
         assert (cfg.priors.var_prior_shape, cfg.priors.var_prior_scale,
                 cfg.priors.base_prior_shape, cfg.priors.base_prior_scale) == PRESETS["A"]
 
@@ -209,14 +216,14 @@ class TestConfig:
         ("base_prior_scale", {"base_prior_scale": -2.0}, []),
         ("corr_window_frac", {"corr_window_frac": 0}, []),
         ("var_proposal_shape", {"var_proposal_shape": 0}, []),
-        ("var_proposal_shape", {}, ["--var-proposal-shape", "0"]),
+        ("strength_shape", {}, ["--strength-shape", "0"]),
         ("var_prior_shape", {"var_prior_shape": -1.0}, []),
         ("var_prior_scale", {"preset": "custom", "var_prior_shape": 2.0,
                              "var_prior_scale": 0.0, "base_prior_shape": 2.0,
                              "base_prior_scale": 2.0}, []),
     ], ids=["iterations", "chains", "thinning", "seed", "burnin", "discount_zero_prob",
             "strength_step", "base_prior_scale", "corr_window_frac", "var_proposal_shape",
-            "var_proposal_shape-flag", "var_prior_shape", "custom-var_prior_scale"])
+            "strength_shape-flag", "var_prior_shape", "custom-var_prior_scale"])
     def test_bad_values_exit_one_and_name_the_setting(self, scenario_files, capsys,
                                                       key, settings, flags):
         tmp, _, _ = scenario_files
@@ -233,18 +240,17 @@ class TestConfig:
     def test_flags_override_the_config_file_key_by_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "A", "base_prior_scale": 7.0,
-                                    "var_proposal_shape": 0}))
+                                    "strength_rate": 0}))
         args = pdclust.cli.build_parser().parse_args(
-            ["run", "--config", str(path), "--preset", "C", "--var-proposal-shape", "3"])
+            ["run", "--config", str(path), "--preset", "C", "--strength-rate", "3"])
         cfg = pdclust.cli._layered_config(args)
-        assert cfg.preset == "C" and cfg.tuning.var_proposal_shape == 3.0
+        assert cfg.preset == "C" and cfg.priors.strength_rate == 3.0
         assert (cfg.priors.var_prior_shape, cfg.priors.var_prior_scale,
                 cfg.priors.base_prior_shape, cfg.priors.base_prior_scale) == (2.1, 30.0, 2.1, 7.0)
 
     def test_every_constant_is_a_config_key_and_a_flag(self, scenario_files, monkeypatch):
         tmp, _, _ = scenario_files
-        names = [f.name for cls in (PriorConstants, TuningConstants)
-                 for f in dataclasses.fields(cls)]
+        names = [f.name for f in dataclasses.fields(PriorConstants)]
         # distinct values, each in (0, 1) and so valid for every constant
         values = {name: (k + 1) / (len(names) + 1) for k, name in enumerate(names)}
         seen = []
@@ -266,8 +272,7 @@ class TestConfig:
 
         assert len(seen) == 2
         for config in seen:
-            got = {**dataclasses.asdict(config.priors), **dataclasses.asdict(config.tuning)}
-            assert got == values
+            assert dataclasses.asdict(config.priors) == values
 
 
 def small_run_config(tmp_path, **extra):
@@ -453,7 +458,9 @@ class TestVerbs:
         before = (tmp / "out" / "summary.csv").read_bytes()
         path = tmp / "out" / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["config"]["runtime_checks"] = True  # a key of manifests from older versions
+        # keys of manifests from older versions
+        manifest["config"].update(runtime_checks=True, var_proposal_shape=5.0,
+                                  corr_window_frac=4.0, strength_step=2.0)
         del manifest["config"]["similarity_csv"]  # a missing key takes its default
         path.write_text(json.dumps(manifest))
         result = summarize_command(str(tmp / "out"))

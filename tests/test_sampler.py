@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import subprocess
@@ -11,12 +12,12 @@ from scipy import stats
 
 import pdclust
 from pdclust import (BaseMeasure, ChainInvariantError, Dataset, PDHyper, PriorConstants,
-                     SamplerConfig, TuningConstants, build_schema, continuous_spec,
-                     fit_transforms, gen_study1, gen_study2, geweke_joint_test,
+                     SamplerConfig, build_schema, continuous_spec, fit_transforms,
+                     gen_study1, gen_study2, geweke_joint_test,
                      initial_latents, nominal_spec, ordinal_spec, run_chain,
                      scenario_sampler_settings, scenario_variable_specs)
-from pdclust.covariance import (CovarianceState, chol_logdet, correlation_support,
-                                scatter_matrix, update_variance)
+from pdclust.covariance import (CORR_WINDOW_FRAC, CovarianceState, chol_logdet,
+                                correlation_support, scatter_matrix, update_variance)
 from pdclust.latent import LatentState, resample_latents
 from pdclust.pdprocess import update_base_scales, update_discount, update_strength
 from pdclust.sampler import (MixtureState, UrnTables, _ancestral_draw, _location_posterior,
@@ -232,8 +233,7 @@ class TestSweepAndChain:
 
 class TestStateBuilder:
     def test_every_config_constant_reaches_the_states(self):
-        cfg = SamplerConfig(iterations=2, burnin=1, priors=PRIOR_C,
-                            tuning=TuningConstants(strength_step=1.25))
+        cfg = SamplerConfig(iterations=2, burnin=1, priors=PRIOR_C)
         schema = build_schema([continuous_spec("y1"), ordinal_spec("y2", 2)])
         ds = Dataset.from_values([[0.5, 0.0], [1.5, 1.0], [-0.2, 1.0]])
         built = init_states(initial_latents(ds, schema), schema, cfg)
@@ -241,10 +241,8 @@ class TestStateBuilder:
         for _, cov, base, hyper in (built, drawn):
             assert cov.priors is cfg.priors and base.priors is cfg.priors
             assert hyper.priors is cfg.priors
-            assert cov.tuning is cfg.tuning and hyper.tuning is cfg.tuning
 
-        constants = {f.name for cls in (PriorConstants, TuningConstants)
-                     for f in dataclasses.fields(cls)}
+        constants = {f.name for f in dataclasses.fields(PriorConstants)}
         for cls in (CovarianceState, PDHyper, BaseMeasure):
             assert not constants & {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
@@ -288,6 +286,15 @@ def test_state_checks_survive_optimised_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
     assert out.stdout.strip() == "ChainInvariantError cluster counts do not sum to n"
+
+
+def test_no_assert_statement_guards_the_package():
+    # python -O strips assert statements, so none may stand in for a runtime check
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(pdclust.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in pdclust: " + ", ".join(found)
 
 
 class TestGewekeHarness:
@@ -381,7 +388,7 @@ def reference_update_correlation(state, j, k, scatter, n, rng, hastings=True):
     length = hi - lo
     if length <= 0.0:
         return False
-    half = length / state.tuning.corr_window_frac
+    half = length / CORR_WINDOW_FRAC
     cur = float(state.corr[j, k])
     w_lo, w_hi = max(lo, cur - half), min(hi, cur + half)
     cand = rng.uniform(w_lo, w_hi)

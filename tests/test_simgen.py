@@ -24,10 +24,6 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec("VII")
 
-    def test_study2_record_count_is_pinned(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec("IV", n=50)
-
 
 class TestStudy1:
     def test_deterministic_given_spec(self):
