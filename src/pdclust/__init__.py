@@ -17,9 +17,8 @@ from .covariance import (CovarianceState, compose_sigma, correlation_support,
                          scatter_matrix, update_correlation, update_variance)
 from .postproc import (ClusterSummary, cluster_summary, dahl_select,
                        expand_variables, hm_measure, min_hm_select, similarity)
-from .sampler import (ChainOutput, GewekeReport, MixtureState, SamplerConfig,
-                      effective_pis, geweke_joint_test, gibbs_sweep, run_chain,
-                      update_mu_i, update_unique_mus, urn_sweep_terms)
+from .sampler import (ChainOutput, MixtureState, SamplerConfig, effective_pis, gibbs_sweep,
+                      run_chain, update_mu_i, update_unique_mus, urn_sweep_terms)
 from .schema import (ChainInvariantError, Dataset, PriorConstants, Schema, SchemaError,
                      ValidationReport, VariableSpec, build_schema, continuous_spec,
                      default_cutoffs, nominal_spec, ordinal_spec, validate_dataset)

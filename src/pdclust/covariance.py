@@ -50,6 +50,7 @@ def scatter_matrix(z, mu, pis, var_scale: float) -> np.ndarray:
 
 
 def _gamma_logpdf_shape_scale(x, shape, scale):
+    """Gamma(shape, scale) log density at ``x``; the variance move's Hastings term."""
     return -shape * np.log(scale) - gammaln(shape) + (shape - 1.0) * np.log(x) - x / scale
 
 
@@ -132,8 +133,7 @@ def _variance_logpost(sdevs, corr_inv, j, value, scatter, n, shape, scale):
     return -(shape + 0.5 * n + 1.0) * np.log(value) - scale / value - 0.5 * trace
 
 
-def update_variance(state: CovarianceState, j: int, scatter, n: int, rng,
-                    hastings: bool = True) -> bool:
+def update_variance(state: CovarianceState, j: int, scatter, n: int, rng) -> bool:
     """Gamma-proposal MH step on the free variance of coordinate ``j``.
 
     Returns True when the move is accepted (state updated in place); the
@@ -160,9 +160,8 @@ def update_variance(state: CovarianceState, j: int, scatter, n: int, rng,
         - _variance_logpost(state.sdevs, state.corr_inv, j, cur, scatter, n,
                             state.priors.var_prior_shape, state.priors.var_prior_scale)
     )
-    if hastings:
-        log_ratio += _gamma_logpdf_shape_scale(cur, shape, cand / shape)
-        log_ratio -= _gamma_logpdf_shape_scale(cand, shape, cur / shape)
+    log_ratio += _gamma_logpdf_shape_scale(cur, shape, cand / shape)
+    log_ratio -= _gamma_logpdf_shape_scale(cand, shape, cur / shape)
 
     if np.log(rng.random()) < log_ratio:
         state.sdevs[j] = cand_sdevs[j]
@@ -230,8 +229,17 @@ def _correlation_logpost(factor, sdevs, scatter, n, q):
     return post
 
 
-def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, rng,
-                       hastings: bool = True) -> bool:
+def _window_log_ratio(w_lo, w_hi, c_lo, c_hi):
+    """Hastings term of the windowed-uniform proposal.
+
+    The move from the current value draws uniformly on ``[w_lo, w_hi]`` and
+    the reverse move on ``[c_lo, c_hi]``, so log q(cur | cand) - log
+    q(cand | cur) is the log ratio of the two window lengths.
+    """
+    return np.log(w_hi - w_lo) - np.log(c_hi - c_lo)
+
+
+def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, rng) -> bool:
     """Windowed-uniform MH step on correlation entry (j, k), j < k.
 
     The proposal window is the PD support shrunk to ``length/CORR_WINDOW_FRAC``
@@ -264,8 +272,7 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
         )
     except np.linalg.LinAlgError:
         return False
-    if hastings:
-        log_ratio += np.log(w_hi - w_lo) - np.log(c_hi - c_lo)
+    log_ratio += _window_log_ratio(w_lo, w_hi, c_lo, c_hi)
 
     if np.log(rng.random()) < log_ratio:
         state.corr[j, k] = state.corr[k, j] = cand

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .latent import IDENTITY, LOG_SHIFT, TransformSpec
-from .schema import CONTINUOUS, Dataset, NOMINAL, ORDINAL, SchemaError, VariableSpec
+from .schema import CONTINUOUS, Dataset, NOMINAL, ORDINAL, VariableSpec
 
 _SIMILARITY_MAGIC = b"PDCSIM1\x00"
 
@@ -209,7 +209,10 @@ def read_similarity_binary(path) -> np.ndarray:
         magic = fh.read(len(_SIMILARITY_MAGIC))
         if magic != _SIMILARITY_MAGIC:
             raise DataFormatError(f"{path}: not a similarity matrix file")
-        (n,) = struct.unpack("<Q", fh.read(8))
+        size = fh.read(8)
+        if len(size) != 8:
+            raise DataFormatError(f"{path}: truncated similarity matrix")
+        (n,) = struct.unpack("<Q", size)
         data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
     if data.size != n * n:
         raise DataFormatError(f"{path}: truncated similarity matrix")

@@ -95,15 +95,19 @@ def decode_ordinal(z, cutoffs) -> np.ndarray:
     return np.clip(idx, 0, len(cutoffs) - 2)
 
 
-def decode_nominal_rows(zblock: np.ndarray) -> np.ndarray:
-    """Category of each row of a block of nominal latents.
+def decode_levels(z: np.ndarray, schema: Schema, k: int) -> np.ndarray:
+    """Level codes of ordinal or nominal variable ``k`` decoded from latent matrix ``z``.
 
-    The last category when every coordinate of the row is negative,
-    otherwise the position of the maximum (ties resolved to the lowest
-    index).
+    A record of a nominal variable takes the last category when every
+    coordinate of its block is negative, otherwise the position of the
+    block's maximum (ties resolved to the lowest index).
     """
-    cat = np.argmax(zblock, axis=1)
-    cat[zblock.max(axis=1) < 0] = zblock.shape[1]
+    sl = schema.latent_slice(k)
+    if schema.variables[k].kind == ORDINAL:
+        return decode_ordinal(z[:, sl.start], schema.cutoff_array(k))
+    block = z[:, sl]
+    cat = np.argmax(block, axis=1)
+    cat[block.max(axis=1) < 0] = block.shape[1]
     return cat
 
 
@@ -225,19 +229,13 @@ class LatentState:
     def check_consistent(self) -> None:
         """Raise ChainInvariantError unless decode reproduces the observed data."""
         for k, v in enumerate(self.schema.variables):
-            sl = self.schema.latent_slice(k)
             if v.kind == CONTINUOUS:
                 expect = transform_continuous(self.observed_column(k), v.transform)
-                if not np.array_equal(self.z[:, sl.start], expect):
+                if not np.array_equal(self.z[:, self.schema.latent_slice(k).start], expect):
                     raise ChainInvariantError(f"continuous latent drifted for {v.name}")
-            elif v.kind == ORDINAL:
-                got = decode_ordinal(self.z[:, sl.start], self.schema.cutoff_array(k))
-                if not np.array_equal(got, self.observed_column(k).astype(int)):
-                    raise ChainInvariantError(f"ordinal decode mismatch for {v.name}")
-            else:
-                got = decode_nominal_rows(self.z[:, sl])
-                if not np.array_equal(got, self.observed_column(k).astype(int)):
-                    raise ChainInvariantError(f"nominal decode mismatch for {v.name}")
+            elif not np.array_equal(decode_levels(self.z, self.schema, k),
+                                    self.observed_column(k).astype(int)):
+                raise ChainInvariantError(f"{v.kind} decode mismatch for {v.name}")
 
 
 def initial_latents(dataset: Dataset, schema: Schema) -> LatentState:

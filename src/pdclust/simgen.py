@@ -46,10 +46,6 @@ class ScenarioSpec:
         if self.scenario not in STUDY1 + STUDY2:
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
-    @property
-    def n_records(self) -> int:
-        return STUDY1_N if self.scenario in STUDY1 else STUDY2_N_INTERVALS
-
 
 @dataclass(frozen=True)
 class MixtureDensity:
@@ -93,11 +89,10 @@ def scenario_sampler_settings(scenario: str, wbar: float) -> tuple[str, float]:
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def study1_latents(spec: ScenarioSpec, rng) -> tuple[np.ndarray, np.ndarray]:
+def study1_latents(rng) -> tuple[np.ndarray, np.ndarray]:
     """Latent mixture triples shared by scenarios I-III; returns (z, labels)."""
-    n = spec.n_records
-    comp = rng.integers(0, 3, size=n)
-    z = STUDY1_MEANS[comp] + np.sqrt(STUDY1_VARS[comp]) * rng.standard_normal((n, 3))
+    comp = rng.integers(0, 3, size=STUDY1_N)
+    z = STUDY1_MEANS[comp] + np.sqrt(STUDY1_VARS[comp]) * rng.standard_normal((STUDY1_N, 3))
     return z, comp
 
 
@@ -110,8 +105,7 @@ def gen_study1(spec: ScenarioSpec) -> tuple[Dataset, np.ndarray]:
     if spec.scenario not in STUDY1:
         raise ValueError(f"{spec.scenario} is not a study-1 scenario")
     rng = np.random.default_rng(spec.seed)
-    z, comp = study1_latents(spec, rng)
-    n = spec.n_records
+    z, comp = study1_latents(rng)
 
     if spec.scenario == "I":
         values = z
@@ -124,7 +118,7 @@ def gen_study1(spec: ScenarioSpec) -> tuple[Dataset, np.ndarray]:
             (z[:, 0] > 5).astype(float),
             y2,
             (z[:, 2] > 3).astype(float),
-            rng.standard_normal(n),
+            rng.standard_normal(STUDY1_N),
         ])
     return Dataset.from_values(values), comp
 

@@ -13,7 +13,6 @@ answer depends on its start. The measured values and causes of every red
 criterion are recorded in CHANGES.md.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -21,9 +20,10 @@ import pytest
 from scipy import stats
 
 import pdclust as pc
-import pdclust.sampler
+import pdclust.covariance
 from pdclust.cli import PRESETS
 from pdclust.covariance import CovarianceState, update_correlation, update_variance
+from pdclust.geweke import geweke_joint_test
 from pdclust.postproc import dahl_select, expand_variables, hm_measure, similarity
 from pdclust.pdprocess import PDHyper, update_discount, update_strength
 
@@ -200,20 +200,21 @@ def _geweke_config():
 class TestCriterion07SamplerCorrectness:
     def test_joint_distribution_check_passes(self):
         schema, cfg = _geweke_config()
-        report = pc.geweke_joint_test(schema, cfg, draws=20_000, seed=11)
+        report = geweke_joint_test(schema, cfg, draws=20_000, seed=11)
         ok = report.passed(3.0)
         _report(7, ok, f"joint-distribution check: max |z|={report.max_abs_z:.2f} "
                        f"over {len(report.names)} statistics, 20000 draws")
         assert ok, str(report)
 
-    @pytest.mark.parametrize("mutation", ["variance-hastings", "correlation-hastings"])
-    def test_mutations_are_detected(self, mutation, monkeypatch):
-        # drop one kernel's Hastings correction inside the sweep
-        kernel = update_variance if mutation == "variance-hastings" else update_correlation
-        monkeypatch.setattr(pdclust.sampler, kernel.__name__,
-                            functools.partial(kernel, hastings=False))
+    @pytest.mark.parametrize("mutation, term", [
+        ("variance-hastings", "_gamma_logpdf_shape_scale"),
+        ("correlation-hastings", "_window_log_ratio"),
+    ], ids=["variance-hastings", "correlation-hastings"])
+    def test_mutations_are_detected(self, mutation, term, monkeypatch):
+        # zero one kernel's named Hastings term inside the sweep
+        monkeypatch.setattr(pdclust.covariance, term, lambda *args: 0.0)
         schema, cfg = _geweke_config()
-        report = pc.geweke_joint_test(schema, cfg, draws=20_000, seed=11)
+        report = geweke_joint_test(schema, cfg, draws=20_000, seed=11)
         ok = report.max_abs_z > 5.0
         _report(7, ok, f"mutation {mutation}: max |z|={report.max_abs_z:.1f} "
                        "(must exceed 5)")

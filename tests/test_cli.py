@@ -135,6 +135,14 @@ def test_similarity_binary_round_trip(tmp_path):
     assert np.array_equal(read_similarity_binary(path), sim)
 
 
+def test_similarity_binary_rejects_a_truncated_size_field(tmp_path):
+    path = tmp_path / "sim.bin"
+    path.write_bytes(b"PDCSIM1\x00\x02\x00")
+    with pytest.raises(DataFormatError, match="truncated similarity matrix") as err:
+        read_similarity_binary(path)
+    assert str(path) in str(err.value)
+
+
 def test_rewrites_leave_no_trace_of_a_longer_file(tmp_path):
     path = tmp_path / "out.csv"
     write_text_output(path, "x" * 100)
@@ -498,6 +506,19 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert "partitions.csv" in err
         assert f"{ds.n - 1} records" in err and f"has {ds.n}" in err
+
+    @pytest.mark.parametrize("damage", ["non-integer-cell", "missing-file"])
+    def test_summarize_rejects_unreadable_partitions(self, scenario_files, damage, capsys):
+        tmp, _, _ = scenario_files
+        run_command(small_run_config(tmp))
+        path = tmp / "out" / "partitions.csv"
+        if damage == "missing-file":
+            path.unlink()
+        else:
+            header, first, *rest = path.read_text().splitlines()
+            path.write_text("\n".join([header, "x," + first.split(",", 1)[1], *rest]) + "\n")
+        assert main(["summarize", "--run", str(tmp / "out")]) == EXIT_VALIDATION
+        assert f"{path}: cannot read partitions" in capsys.readouterr().err
 
     def test_dataset_round_trip_through_cli_formats(self, tmp_path):
         ds, _ = gen_study1(ScenarioSpec("III", seed=11))

@@ -7,7 +7,7 @@ from pdclust import (Dataset, PriorConstants, TransformSpec, build_schema,
                      conditional_moments, continuous_spec, decode_ordinal, initial_latents,
                      nominal_spec, ordinal_spec, transform_continuous)
 from pdclust.covariance import CovarianceState
-from pdclust.latent import (decode_nominal_rows, fit_transforms, resample_latents,
+from pdclust.latent import (decode_levels, fit_transforms, resample_latents,
                             sample_truncated_normal_many)
 from pdclust.sampler import MixtureState
 
@@ -53,6 +53,12 @@ class TestTransforms:
         assert fitted.variables[0].transform.shift == np.quantile(ds.values[:, 0], 0.25)
 
 
+def decode_nominal_row(row):
+    """The category of one record of a nominal variable whose latent block is ``row``."""
+    schema = build_schema([nominal_spec("y", len(row) + 1)])
+    return decode_levels(np.array([row]), schema, 0).tolist()
+
+
 class TestDecode:
     def test_ordinal_examples(self):
         assert decode_ordinal(np.array([2.0]), [-np.inf, 0, 4, np.inf]).tolist() == [1]
@@ -63,12 +69,12 @@ class TestDecode:
         assert decode_ordinal(np.array([4.0]), [-np.inf, 0, 4, np.inf]).tolist() == [1]
 
     def test_nominal_examples(self):
-        assert decode_nominal_rows(np.array([[-1.0, -2.0, -0.5]])).tolist() == [3]
-        assert decode_nominal_rows(np.array([[0.5, -1.0]])).tolist() == [0]
-        assert decode_nominal_rows(np.array([[0.2, 0.9, 0.1]])).tolist() == [1]
+        assert decode_nominal_row([-1.0, -2.0, -0.5]) == [3]
+        assert decode_nominal_row([0.5, -1.0]) == [0]
+        assert decode_nominal_row([0.2, 0.9, 0.1]) == [1]
 
     def test_nominal_tie_breaks_to_lowest_index(self):
-        assert decode_nominal_rows(np.array([[0.7, 0.7]])).tolist() == [0]
+        assert decode_nominal_row([0.7, 0.7]) == [0]
 
 
 class TestConditionalMoments:

@@ -13,16 +13,16 @@ from scipy import stats
 import pdclust
 from pdclust import (BaseMeasure, ChainInvariantError, Dataset, PDHyper, PriorConstants,
                      SamplerConfig, build_schema, continuous_spec, fit_transforms,
-                     gen_study1, gen_study2, geweke_joint_test,
-                     initial_latents, nominal_spec, ordinal_spec, run_chain,
-                     scenario_sampler_settings, scenario_variable_specs)
+                     gen_study1, gen_study2, initial_latents, nominal_spec, ordinal_spec,
+                     run_chain, scenario_sampler_settings, scenario_variable_specs)
 from pdclust.covariance import (CORR_WINDOW_FRAC, CovarianceState, chol_logdet,
                                 correlation_support, scatter_matrix, update_variance)
+from pdclust.geweke import _ancestral_draw, geweke_joint_test
 from pdclust.latent import LatentState, resample_latents
 from pdclust.pdprocess import update_base_scales, update_discount, update_strength
-from pdclust.sampler import (MixtureState, UrnTables, _ancestral_draw, _location_posterior,
-                             URN_BLOCK, effective_pis, gibbs_sweep, init_states,
-                             update_mu_i, update_unique_mus, urn_sweep_terms)
+from pdclust.sampler import (MixtureState, UrnTables, _location_posterior, URN_BLOCK,
+                             effective_pis, gibbs_sweep, init_states, update_mu_i,
+                             update_unique_mus, urn_sweep_terms)
 from pdclust.simgen import STUDY1, ScenarioSpec
 
 PRIOR_C = PriorConstants(var_prior_shape=2.1, var_prior_scale=30.0,
@@ -297,6 +297,33 @@ def test_no_assert_statement_guards_the_package():
     assert not found, "assert statements in pdclust: " + ", ".join(found)
 
 
+def _names_read(tree):
+    """Names a module reads, including those inside string annotations."""
+    annotations = [ann for node in ast.walk(tree)
+                   for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                   if ann is not None]
+    trees = [tree] + [ast.parse(node.value, mode="eval") for ann in annotations
+                      for node in ast.walk(ann)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_read():
+    found = []
+    for path in sorted(Path(pdclust.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} {bound}" for alias in node.names
+                          if (bound := (alias.asname or alias.name).split(".")[0]) not in read]
+    assert not found, "imported names never read: " + ", ".join(found)
+
+
 class TestGewekeHarness:
     def test_smoke_run_passes(self):
         schema = build_schema([continuous_spec("y1"), ordinal_spec("y2", 2)])
@@ -381,7 +408,7 @@ def reference_correlation_logpost(corr, sdevs, scatter, n, q):
     return post
 
 
-def reference_update_correlation(state, j, k, scatter, n, rng, hastings=True):
+def reference_update_correlation(state, j, k, scatter, n, rng):
     """Step (e) scoring both the candidate and the current matrix from scratch."""
     q = state.q
     lo, hi = correlation_support(state.corr, j, k)
@@ -402,8 +429,7 @@ def reference_update_correlation(state, j, k, scatter, n, rng, hastings=True):
         )
     except np.linalg.LinAlgError:
         return False
-    if hastings:
-        log_ratio += np.log(w_hi - w_lo) - np.log(c_hi - c_lo)
+    log_ratio += np.log(w_hi - w_lo) - np.log(c_hi - c_lo)
     if np.log(rng.random()) < log_ratio:
         state.corr[j, k] = state.corr[k, j] = cand
         try:

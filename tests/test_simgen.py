@@ -17,8 +17,8 @@ def study2_pdf(x):
 
 class TestScenarioSpec:
     def test_defaults(self):
-        assert ScenarioSpec("I").n_records == 100
-        assert ScenarioSpec("V").n_records == 200
+        assert gen_study1(ScenarioSpec("I"))[0].n == 100
+        assert gen_study2(ScenarioSpec("V"))[0].n == 200
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
@@ -48,7 +48,7 @@ class TestStudy1:
 
     def test_discretization_matches_stored_latents(self):
         spec = ScenarioSpec("III", seed=5)
-        z, comp = study1_latents(spec, np.random.default_rng(5))
+        z, comp = study1_latents(np.random.default_rng(5))
         ds, labels = gen_study1(spec)
         assert np.array_equal(labels, comp)
         assert np.array_equal(ds.values[:, 0], (z[:, 0] > 5).astype(float))
