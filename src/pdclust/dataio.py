@@ -205,6 +205,11 @@ def write_similarity_binary(path, sim: np.ndarray):
 
 
 def read_similarity_binary(path) -> np.ndarray:
+    """Read a file written by :func:`write_similarity_binary`.
+
+    The body must hold exactly the n x n entries its header declares; the
+    size is checked against the file before anything is allocated.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_SIMILARITY_MAGIC))
         if magic != _SIMILARITY_MAGIC:
@@ -213,7 +218,13 @@ def read_similarity_binary(path) -> np.ndarray:
         if len(size) != 8:
             raise DataFormatError(f"{path}: truncated similarity matrix")
         (n,) = struct.unpack("<Q", size)
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-    if data.size != n * n:
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body < 8 * n * n:
+            raise DataFormatError(f"{path}: truncated similarity matrix")
+        if body > 8 * n * n:
+            raise DataFormatError(f"{path}: trailing data after the {n} x {n} "
+                                  "similarity matrix")
+        data = np.frombuffer(fh.read(body), dtype="<f8")
+    if data.size != n * n:  # the file shrank while it was read
         raise DataFormatError(f"{path}: truncated similarity matrix")
     return data.reshape(n, n).copy()

@@ -17,6 +17,10 @@ logger = logging.getLogger(__name__)
 _BLOCK = 64
 _STRIPE = 128
 
+#: float32 holds every integer up to 2**24 exactly, so a float32 product of
+#: nonnegative integers is exact while its full sum stays within this.
+_F32_EXACT = 2**24
+
 #: Number format of the summary table's entries.
 SUMMARY_FORMAT = "%.6g"
 
@@ -24,11 +28,14 @@ SUMMARY_FORMAT = "%.6g"
 def _indicator_blocks(partitions):
     """Cluster-indicator matrices of the stored partitions, about 64 at a time.
 
-    Yields ``(rows, Z, owner)`` where ``rows`` is the slice of partitions in
-    the block, ``Z`` an (n, c) float64 0/1 matrix with one column per cluster
+    Yields ``(rows, Zt, owner)`` where ``rows`` is the slice of partitions in
+    the block, ``Zt`` a (c, n) float32 0/1 matrix with one row per cluster
     of each of them (ordered by partition, then label) and ``owner[c]`` the
-    block-local row of column ``c``. Labels are any integers; each row is
-    coded on its own.
+    block-local row of cluster ``c``. Labels are any integers; each row is
+    coded on its own. Sums of products of ``Zt`` with integers stay exact in
+    float32 while they stay within ``_F32_EXACT`` (2**24): a column of
+    ``Zt`` has one 1 per partition of the block, so ``Zt.T @ Zt`` counts at
+    most 64.
     """
     n = partitions.shape[1]
     for start in range(0, partitions.shape[0], _BLOCK):
@@ -40,28 +47,29 @@ def _indicator_blocks(partitions):
         keys = labels + span * np.arange(len(block))[:, None]
         present = np.zeros(len(block) * span, dtype=bool)
         present[keys] = True
-        column = np.cumsum(present) - 1
-        Z = np.zeros((n, int(present.sum())))
-        Z[np.arange(n), column[keys]] = 1.0
-        yield slice(start, start + len(block)), Z, np.flatnonzero(present) // span
+        cluster = np.cumsum(present) - 1
+        Zt = np.zeros((int(present.sum()), n), dtype=np.float32)
+        Zt[cluster[keys], np.arange(n)] = 1.0
+        yield slice(start, start + len(block)), Zt, np.flatnonzero(present) // span
 
 
 def similarity(partitions) -> np.ndarray:
     """Average co-clustering frequency over stored partitions.
 
-    Adds the exact integer co-clustering counts ``Z Z^T`` of each block into
-    one n x n accumulator, a stripe of rows at a time and only on and above
-    the diagonal, then mirrors the lower triangle and divides by the number
-    of partitions.
+    Adds the integer co-clustering counts ``Z Z^T`` of each block into one
+    n x n float64 accumulator, a stripe of rows at a time and only on and
+    above the diagonal, then mirrors the lower triangle and divides by the
+    number of partitions. A block's counts are at most 64, so its float32
+    products are exact and the result is the mean of the adjacency matrices.
     """
     partitions = np.asarray(partitions)
     if partitions.ndim != 2 or partitions.shape[0] < 1:
         raise ValueError("need at least one partition of equal length")
     n = partitions.shape[1]
     acc = np.zeros((n, n))
-    for _, Z, _ in _indicator_blocks(partitions):
+    for _, Zt, _ in _indicator_blocks(partitions):
         for i in range(0, n, _STRIPE):
-            acc[i:i + _STRIPE, i:] += Z[i:i + _STRIPE] @ Z[i:].T
+            acc[i:i + _STRIPE, i:] += Zt[:, i:i + _STRIPE].T @ Zt[:, i:]
     for i in range(_STRIPE, n, _STRIPE):
         acc[i:i + _STRIPE, :i] = acc[:i, i:i + _STRIPE].T
     acc /= partitions.shape[0]
@@ -75,30 +83,41 @@ def dahl_select(partitions, sim: np.ndarray) -> tuple[np.ndarray, float]:
     ``(labels, squared distance)``; ties break to the earliest iteration.
     The result is always one of the stored partitions.
 
-    With ``C = T * sim`` the integer co-clustering counts over the T stored
-    partitions, the squared distance of partition t is ``D_t / T + sum(sim**2)``
-    where ``D_t = T sum_k n_k**2 - 2 sum_k 1_k' C 1_k`` is an exact integer:
-    the row sums of ``C`` over each cluster are rounded from ``T * sim @ Z``,
-    whose rounding error is far below 1/2 while ``n**2 T`` stays below 1e15.
-    Comparing the exact ``D_t`` makes ties exact.
+    With ``C = rint(T * sim)`` the integer co-clustering counts over the T
+    stored partitions, the squared distance of partition t is
+    ``D_t / T + sum(sim**2)`` where ``D_t = T sum_k n_k**2 - 2 sum_k 1_k' C 1_k``
+    is an exact integer. ``C`` is held in float32 and multiplied by the
+    indicators over at most ``2**24 // T`` records at a time, so each count
+    is at most T and every partial sum of a product at most 2**24, which
+    float32 holds exactly; the products are summed in float64, exact while
+    ``n**2 T`` stays below 2**53. Comparing the exact ``D_t`` makes ties
+    exact. Raises ``ValueError`` for T above 2**24.
     """
     partitions = np.asarray(partitions)
     if partitions.shape[1] != sim.shape[0]:
         raise ValueError("partition length does not match similarity matrix")
     T, n = partitions.shape
+    if T > _F32_EXACT:
+        raise ValueError(f"dahl_select counts at most {_F32_EXACT} stored "
+                         f"partitions exactly, got {T}")
+    chunk = _F32_EXACT // T
+    # C, computed in float64 a buffer at a time and stored as float32
+    counts = np.multiply(sim, T, out=np.empty(sim.shape, dtype=np.float32))
+    np.rint(counts, out=counts)
     dist = np.empty(T)
-    for rows, Z, owner in _indicator_blocks(partitions):
-        within = np.zeros(Z.shape[1])
+    for rows, Zt, owner in _indicator_blocks(partitions):
+        within = np.zeros(len(Zt))
         for i in range(0, n, _STRIPE):
-            j = i + _STRIPE
-            # record pairs inside the diagonal block count once; those right
-            # of it also stand for their mirror images below the diagonal
-            for cols, factor in ((slice(i, j), 1.0), (slice(j, n), 2.0)):
-                counts = sim[i:j, cols] @ Z[cols]
-                counts *= T
-                np.rint(counts, out=counts)
-                within += factor * np.einsum("ic,ic->c", counts, Z[i:j])
-        sizes = Z.sum(axis=0)
+            j = min(i + _STRIPE, n)
+            # record pairs inside the diagonal block count once; those below
+            # it also stand for their mirror images above the diagonal
+            for lo, hi, factor in ((i, j, 1.0), (j, n, 2.0)):
+                for a in range(lo, hi, chunk):
+                    b = min(a + chunk, hi)
+                    part = Zt[:, a:b] @ counts[a:b, i:j]
+                    within += factor * np.einsum("cs,cs->c", part, Zt[:, i:j],
+                                                 dtype=np.float64)
+        sizes = Zt.sum(axis=1, dtype=np.float64)
         dist[rows] = np.bincount(owner, T * sizes * sizes - 2.0 * within)
     best = int(np.argmin(dist))
     return partitions[best].copy(), float(dist[best] / T + np.vdot(sim, sim))
@@ -115,7 +134,8 @@ def _hm_scores(partitions, expanded, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     squared = expanded * expanded
     scores = np.empty(partitions.shape[0])
-    for rows, Z, owner in _indicator_blocks(partitions):
+    for rows, Zt, owner in _indicator_blocks(partitions):
+        Z = np.ascontiguousarray(Zt.T, dtype=np.float64)
         sizes = Z.sum(axis=0)
         Z *= weights[:, None]  # Z becomes Zw in place
         Z /= Z.sum(axis=0)

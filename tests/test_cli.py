@@ -143,6 +143,25 @@ def test_similarity_binary_rejects_a_truncated_size_field(tmp_path):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("n", [2**20, 2**62])
+def test_similarity_binary_checks_a_huge_size_field_before_allocating(tmp_path, n):
+    path = tmp_path / "sim.bin"
+    path.write_bytes(b"PDCSIM1\x00" + struct.pack("<Q", n))
+    with pytest.raises(DataFormatError, match="truncated similarity matrix") as err:
+        read_similarity_binary(path)
+    assert str(path) in str(err.value)
+
+
+def test_similarity_binary_rejects_a_trailing_byte(tmp_path):
+    path = tmp_path / "sim.bin"
+    write_similarity_binary(path, np.eye(3))
+    with open(path, "ab") as fh:
+        fh.write(b"\x00")
+    with pytest.raises(DataFormatError, match="trailing data after the 3 x 3") as err:
+        read_similarity_binary(path)
+    assert str(path) in str(err.value)
+
+
 def test_rewrites_leave_no_trace_of_a_longer_file(tmp_path):
     path = tmp_path / "out.csv"
     write_text_output(path, "x" * 100)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pdclust import (Dataset, build_schema, cluster_summary, continuous_spec,
                      dahl_select, expand_variables, hm_measure, min_hm_select,
                      nominal_spec, ordinal_spec, similarity)
+from pdclust import postproc
 
 
 def adjacency(labels):
@@ -124,6 +125,19 @@ class TestDahlSelect:
         best = int(np.argmin(scaled))
         assert np.array_equal(chosen, parts[best])
         assert abs(dist - ((adjacency(parts[best]) - sim) ** 2).sum()) < 1e-9
+
+    @pytest.mark.parametrize("kept, n", [(9, 13), (9, 300)])
+    def test_chunked_products_match_exact_brute_force(self, monkeypatch, kept, n):
+        # 2**6 // 9 = 7 records per float32 product, so the diagonal block
+        # and every stripe below it split into several chunks
+        monkeypatch.setattr(postproc, "_F32_EXACT", 2**6)
+        self.test_matches_exact_brute_force(kept, n)
+
+    def test_rejects_more_partitions_than_float32_counts_exactly(self, monkeypatch):
+        monkeypatch.setattr(postproc, "_F32_EXACT", 2**6)
+        parts = np.zeros((65, 5), dtype=int)
+        with pytest.raises(ValueError, match="at most 64 stored partitions"):
+            dahl_select(parts, similarity(parts))
 
     def test_result_is_member_of_stored_set(self):
         rng = np.random.default_rng(3)
