@@ -28,14 +28,15 @@ SUMMARY_FORMAT = "%.6g"
 def _indicator_blocks(partitions):
     """Cluster-indicator matrices of the stored partitions, about 64 at a time.
 
-    Yields ``(rows, Zt, owner)`` where ``rows`` is the slice of partitions in
-    the block, ``Zt`` a (c, n) float32 0/1 matrix with one row per cluster
-    of each of them (ordered by partition, then label) and ``owner[c]`` the
-    block-local row of cluster ``c``. Labels are any integers; each row is
-    coded on its own. Sums of products of ``Zt`` with integers stay exact in
-    float32 while they stay within ``_F32_EXACT`` (2**24): a column of
-    ``Zt`` has one 1 per partition of the block, so ``Zt.T @ Zt`` counts at
-    most 64.
+    Yields ``(rows, Zt, owner, member)`` where ``rows`` is the slice of
+    partitions in the block, ``Zt`` a (c, n) float32 0/1 matrix with one row
+    per cluster of each of them (ordered by partition, then label),
+    ``owner[c]`` the block-local row of cluster ``c`` and ``member[t, i]``
+    the row of ``Zt`` that holds record i's cluster in the block's
+    partition t. Labels are any integers; each row is coded on its own.
+    Sums of products of ``Zt`` with integers stay exact in float32 while
+    they stay within ``_F32_EXACT`` (2**24): a column of ``Zt`` has one 1
+    per partition of the block, so ``Zt.T @ Zt`` counts at most 64.
     """
     n = partitions.shape[1]
     for start in range(0, partitions.shape[0], _BLOCK):
@@ -47,10 +48,10 @@ def _indicator_blocks(partitions):
         keys = labels + span * np.arange(len(block))[:, None]
         present = np.zeros(len(block) * span, dtype=bool)
         present[keys] = True
-        cluster = np.cumsum(present) - 1
+        member = (np.cumsum(present) - 1)[keys]
         Zt = np.zeros((int(present.sum()), n), dtype=np.float32)
-        Zt[cluster[keys], np.arange(n)] = 1.0
-        yield slice(start, start + len(block)), Zt, np.flatnonzero(present) // span
+        Zt[member, np.arange(n)] = 1.0
+        yield slice(start, start + len(block)), Zt, np.flatnonzero(present) // span, member
 
 
 def similarity(partitions) -> np.ndarray:
@@ -67,7 +68,7 @@ def similarity(partitions) -> np.ndarray:
         raise ValueError("need at least one partition of equal length")
     n = partitions.shape[1]
     acc = np.zeros((n, n))
-    for _, Zt, _ in _indicator_blocks(partitions):
+    for _, Zt, _, _ in _indicator_blocks(partitions):
         for i in range(0, n, _STRIPE):
             acc[i:i + _STRIPE, i:] += Zt[:, i:i + _STRIPE].T @ Zt[:, i:]
     for i in range(_STRIPE, n, _STRIPE):
@@ -89,9 +90,11 @@ def dahl_select(partitions, sim: np.ndarray) -> tuple[np.ndarray, float]:
     is an exact integer. ``C`` is held in float32 and multiplied by the
     indicators over at most ``2**24 // T`` records at a time, so each count
     is at most T and every partial sum of a product at most 2**24, which
-    float32 holds exactly; the products are summed in float64, exact while
-    ``n**2 T`` stays below 2**53. Comparing the exact ``D_t`` makes ties
-    exact. Raises ``ValueError`` for T above 2**24.
+    float32 holds exactly. Of a product's row for cluster k, only the
+    entries of k's own records enter ``1_k' C 1_k``, so each record's own
+    entry is gathered and summed in float64, exact while ``n**2 T`` stays
+    below 2**53. Comparing the exact ``D_t`` makes ties exact. Raises
+    ``ValueError`` for T above 2**24.
     """
     partitions = np.asarray(partitions)
     if partitions.shape[1] != sim.shape[0]:
@@ -105,20 +108,21 @@ def dahl_select(partitions, sim: np.ndarray) -> tuple[np.ndarray, float]:
     counts = np.multiply(sim, T, out=np.empty(sim.shape, dtype=np.float32))
     np.rint(counts, out=counts)
     dist = np.empty(T)
-    for rows, Zt, owner in _indicator_blocks(partitions):
-        within = np.zeros(len(Zt))
+    for rows, Zt, owner, member in _indicator_blocks(partitions):
+        within = np.zeros(len(member))
         for i in range(0, n, _STRIPE):
             j = min(i + _STRIPE, n)
+            # flat index of each record's own cluster row in a (c, j - i) product
+            own = member[:, i:j] * (j - i) + np.arange(j - i)
             # record pairs inside the diagonal block count once; those below
             # it also stand for their mirror images above the diagonal
             for lo, hi, factor in ((i, j, 1.0), (j, n, 2.0)):
                 for a in range(lo, hi, chunk):
                     b = min(a + chunk, hi)
                     part = Zt[:, a:b] @ counts[a:b, i:j]
-                    within += factor * np.einsum("cs,cs->c", part, Zt[:, i:j],
-                                                 dtype=np.float64)
+                    within += factor * part.take(own).sum(axis=1, dtype=np.float64)
         sizes = Zt.sum(axis=1, dtype=np.float64)
-        dist[rows] = np.bincount(owner, T * sizes * sizes - 2.0 * within)
+        dist[rows] = np.bincount(owner, T * sizes * sizes) - 2.0 * within
     best = int(np.argmin(dist))
     return partitions[best].copy(), float(dist[best] / T + np.vdot(sim, sim))
 
@@ -134,7 +138,7 @@ def _hm_scores(partitions, expanded, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     squared = expanded * expanded
     scores = np.empty(partitions.shape[0])
-    for rows, Zt, owner in _indicator_blocks(partitions):
+    for rows, Zt, owner, _ in _indicator_blocks(partitions):
         Z = np.ascontiguousarray(Zt.T, dtype=np.float64)
         sizes = Z.sum(axis=0)
         Z *= weights[:, None]  # Z becomes Zw in place

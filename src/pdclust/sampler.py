@@ -10,7 +10,7 @@ locations right after the memberships change.
 
 from __future__ import annotations
 
-import bisect
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -152,9 +152,14 @@ def urn_sweep_terms(z, pis, var_scale, cov, base_var):
     return log_new, log_const
 
 
-#: Records weighed together by :meth:`UrnTables.choose`. The cached rows are
-#: dropped at every move, so a longer block wastes more rows on sweeps with
-#: many moves; 16 to 64 measured about the same on scenarios III and V.
+#: Records weighed and decided together by :meth:`UrnTables.choose`. A
+#: record that stays costs almost nothing, so a longer block saves weighing
+#: on sweeps with few moves, and wastes more rows on sweeps with many, where
+#: a block is dropped a few rows in. Median CPU time of interleaved
+#: ``grid-design`` chains (one core of a 2-core VM) for 16 / 32 / 64: 0.62 /
+#: 0.49 / 0.43 s at low-move seed 11, 1.50 / 1.54 / 1.70 s and 0.89 / 0.81 /
+#: 0.88 s at high-move seeds 19 and 5. 32 is within about a tenth of the
+#: best on both kinds of seed.
 URN_BLOCK = 32
 
 
@@ -169,24 +174,48 @@ class UrnTables:
       cluster beside k others. Slot 0 holds NaN, so that no log of a
       non-positive number is taken; only the block row of a record alone in
       its cluster reads it, and that row is never drawn from.
-    - ``half_quad[i, j]``: half the quadratic form of z_i about location j
-      under the kernel c_i sigma, ``((z_i - mu_j) sigma^-1 (z_i - mu_j)') /
+    - ``half_quad[i, j + 1]``: half the quadratic form of z_i about location
+      j under the kernel c_i sigma, ``((z_i - mu_j) sigma^-1 (z_i - mu_j)') /
       (2 c_i)``, one column per cluster in the order of ``mixture.mus``.
-    - A block of cached rows: the normalised cumulative urn weights of up to
-      :data:`URN_BLOCK` consecutive records (:meth:`choose`), each computed
-      from the current counts with that record counted out of its own
-      cluster.
+      Column 0 holds zeros, so that the columns line up with a block row.
+    - ``stay[i]``: True when record i's choice is already known to leave it
+      in its own cluster. :func:`update_mu_i` returns at once for such a
+      record.
+
+    The records must be updated in order, 0 to n - 1, each once. A block of
+    up to :data:`URN_BLOCK` consecutive records is weighed and decided at
+    once (:meth:`choose`): each row holds the normalised cumulative urn
+    weights of one record, computed from the current counts with that
+    record counted out of its own cluster, and the block draws one uniform
+    per record with ``rng.random(k)``, which gives the same values as k
+    calls of ``rng.random()``. A record's choice is the first entry of its
+    row at or above its uniform, the last cluster taking any uniform above
+    them all, and a record whose choice is its own cluster is flagged in
+    ``stay``. The rows of a record alone in its cluster, or of a record
+    whose weights are not finite, are NaN and never flag a stay.
 
     Step (a) changes none of the latents, sigma, the base variances,
     ``var_scale``, the pis, the discount or the strength, and it moves no
     existing location: it only deletes a location when a cluster dies and
     appends one when a cluster is born. So the tables stay valid for the
     whole step as long as :meth:`drop` and :meth:`add` follow
-    ``MixtureState.remove_cluster`` and ``add_cluster``. A cached row depends
-    on the partition as well, and a record that stays in its own cluster
-    leaves the partition exactly as it was, so the rows stay valid until a
-    record moves, a cluster is born or a cluster dies: :meth:`drop`,
-    :meth:`add` and :meth:`forget_rows` drop them.
+    ``MixtureState.remove_cluster`` and ``add_cluster``. A block depends on
+    the partition as well, and a record that stays in its own cluster
+    leaves the partition exactly as it was, so the block stays valid until
+    a record moves, a cluster is born or a cluster dies: :meth:`drop`,
+    :meth:`add` and :meth:`forget_rows` drop it and its stay flags.
+
+    Generator order: record i's uniform is the next one after those of the
+    records before it, exactly as if each record drew its own. Between two
+    records step (a) draws nothing but these uniforms, so the uniforms that
+    a dropped block drew ahead are kept for the records after it. Where
+    anything else may draw from the generator, the tables must first hand
+    the uniforms drawn ahead back with :meth:`hand_back`, which sets the
+    generator to where the per-record draws would have left it:
+    :func:`update_mu_i` does so before a birth draws its location and when
+    the lone record of the only cluster opens a new one without a draw,
+    :meth:`choose` before it raises, and :func:`gibbs_sweep` at the end of
+    the step.
 
     The quadratic forms use the same stacked matmul, product, sum and
     division as a per-record computation would. With OpenBLAS they equal it
@@ -209,17 +238,35 @@ class UrnTables:
         self.log_join[1:] = np.log(k - hyper.discount)
         self.log_open = np.full(n + 1, np.nan)
         self.log_open[1:] = np.log(hyper.strength + hyper.discount * k)
-        self.half_quad = self._half_quad(mus)
-        self.forget_rows()
+        self.half_quad = np.hstack([np.zeros((n, 1)), self._half_quad(mus)])
+        self.stay = [False] * n
+        self._size_for(len(mus))
+        self._start_stream()
 
     def _half_quad(self, mus):
         """(n, len(mus)) half quadratic forms, one stacked matmul per record."""
         diff = mus[None, :, :] - self.z[:, None, :]
         return 0.5 * (((diff @ self.sigma_inv) * diff).sum(axis=-1) / self.c[:, None])
 
+    def _size_for(self, r: int):
+        """Shape the per-record block terms for ``r`` clusters.
+
+        ``_lead[i]`` holds record i's own term of each entry of its block
+        row: ``log_new[i]`` for entry 0 and ``log_const[i]`` for the others.
+        ``_eye`` is the (r + 1, r) identity, whose last row is zero, and
+        ``_join`` the block's log urn weights by own cluster (:meth:`_weigh`),
+        whose column 0 of opening a new cluster is the same in every row.
+        """
+        self._eye = np.eye(r + 1, r, dtype=np.int64)
+        self._join = np.empty((r + 1, r + 1))
+        self._join[:, 0] = self.log_open[r]
+        self._lead = np.empty((self.z.shape[0], r + 1))
+        self._lead[:, 0] = self.log_new
+        self._lead[:, 1:] = self.log_const[:, None]
+
     def drop(self, j: int):
         """Forget location ``j``, as ``MixtureState.remove_cluster(j)`` does."""
-        self.half_quad = np.delete(self.half_quad, j, axis=1)
+        self.half_quad = np.delete(self.half_quad, j + 1, axis=1)
         self.forget_rows()
 
     def add(self, mu: np.ndarray):
@@ -228,11 +275,50 @@ class UrnTables:
         self.forget_rows()
 
     def forget_rows(self):
-        """Drop the cached rows; call it whenever the partition changes."""
-        self._rows = range(0)
+        """Drop the block and its stay flags; call it whenever the partition changes.
 
-    def _weigh(self, start: int, mixture: MixtureState):
-        """Cache the rows of a block of records that begins at ``start``.
+        The block's first record is kept, so that the uniforms the block
+        drew ahead still go to the records after it.
+        """
+        rows = self._rows
+        self.stay[rows.start:rows.stop] = [False] * len(rows)
+        self._rows = range(rows.start, rows.start)
+
+    def _start_stream(self):
+        """Begin a new stream of uniforms at the next record that draws one."""
+        self._rows = range(0)
+        self._state = None        # generator state at the start of the stream
+        self._used = 0            # uniforms of the stream before the block's first record
+        self._drawn = np.empty(0)  # uniforms drawn from the block's first record on
+
+    def hand_back(self, i: int, rng):
+        """Give the uniforms drawn for record ``i`` and the records after it back to ``rng``.
+
+        Afterwards ``rng`` stands exactly where it would stand had every
+        record before ``i`` drawn its own uniform and none after, and the
+        next record that draws gets the generator's next uniform.
+        """
+        self.forget_rows()
+        if self._state is not None and i - self._rows.start < self._drawn.size:
+            rng.bit_generator.state = self._state
+            rng.random(self._used + i - self._rows.start)
+        self._start_stream()
+
+    def _uniforms(self, start: int, k: int, rng):
+        """The uniforms of records ``start`` to ``start + k - 1``, drawing what is missing."""
+        if self._state is None:
+            self._state = rng.bit_generator.state
+        else:
+            skip = start - self._rows.start
+            self._used += skip
+            self._drawn = self._drawn[skip:]
+        if self._drawn.size < k:
+            fresh = rng.random(k - self._drawn.size)
+            self._drawn = np.concatenate((self._drawn, fresh)) if self._drawn.size else fresh
+        return self._drawn[:k]
+
+    def _weigh(self, start: int, mixture: MixtureState, rng):
+        """Weigh and decide the block of records that begins at ``start``.
 
         The block runs over up to :data:`URN_BLOCK` records, each counted
         out of its own cluster. A record whose label is -1 has been detached
@@ -244,37 +330,49 @@ class UrnTables:
         r = counts.size
         stop = start + 1 if labels[start] < 0 else min(start + URN_BLOCK, labels.size)
         rows = slice(start, stop)
-        per_row = counts - (labels[rows, None] == np.arange(r))
-        logd = np.empty((stop - start, r + 1))
-        logd[:, 1:] = self.log_join[per_row] + self.log_const[rows, None] - self.half_quad[rows]
-        logd[:, 0] = self.log_open[r] + self.log_new[rows]
+        own = labels[rows]
+        if self._eye.shape[1] != r:
+            self._size_for(r)
+        # row j of join: the log urn weights of a record of cluster j, counted
+        # out of it; row r, which a detached record's label -1 reads, counts
+        # no record out
+        join = self._join
+        join[:, 1:] = self.log_join.take(counts - self._eye)
+        cum = join.take(own, axis=0)
+        cum += self._lead[rows]
+        cum -= self.half_quad[rows]
 
-        # a row that is not finite warns nothing here: its record raises at its turn
-        with np.errstate(invalid="ignore"):
-            p = np.exp(logd - logd.max(axis=1, keepdims=True))
-        total = p.sum(axis=1)
-        p /= total[:, None]
+        # the row maxima, reduced over a transposed copy, which is faster
+        cum -= np.maximum.reduce(cum.T.copy(), axis=0)[:, None]
+        np.exp(cum, out=cum)
+        self._total = np.add.reduce(cum, axis=1, keepdims=True)
+        cum /= self._total
+        cum = np.add.accumulate(cum, axis=1)
+        # the last cluster takes any uniform above the weights; a NaN row stays NaN
+        cum[:, r] += 1.0
+        u = self._uniforms(start, stop - start, rng)
+        choice = (cum >= u[:, None]).argmax(axis=1)
         self._rows = range(start, stop)
-        self._finite = np.isfinite(total).tolist()
-        self._cum = p.cumsum(axis=1).tolist()
+        self._choice = choice.tolist()
+        if labels[start] >= 0:
+            self.stay[rows] = (choice == own + 1).tolist()
 
     def choose(self, i: int, mixture: MixtureState, rng) -> int:
-        """Draw record ``i``'s urn choice: 0 opens a new cluster, j + 1 joins cluster j.
+        """Record ``i``'s urn choice: 0 opens a new cluster, j + 1 joins cluster j.
 
-        Reads the record's cached row, weighing a new block first when the
-        row is not cached. Draws one uniform, after checking that the row's
-        weights are finite; raises ``FloatingPointError`` naming the record
-        when they are not. ``bisect_left`` on the cumulative weights is
-        ``searchsorted`` on them, and the last cluster takes any uniform
-        above them.
+        Reads the choice decided for the record's block, weighing and
+        deciding a new block first when the record is not in the current
+        one. Raises ``FloatingPointError`` naming the record when its
+        weights are not finite, after handing its uniform and every later
+        one back to the generator.
         """
         if i not in self._rows:
-            self._weigh(i, mixture)
-        k = i - self._rows.start
-        if not self._finite[k]:
+            self._weigh(i, mixture, rng)
+        m = i - self._rows.start
+        if not math.isfinite(self._total[m, 0]):
+            self.hand_back(i, rng)
             raise FloatingPointError(f"membership weights of record {i} are not finite")
-        cum = self._cum[k]
-        return min(bisect.bisect_left(cum, rng.random()), len(cum) - 1)
+        return self._choice[m]
 
 
 def update_mu_i(i, latents, mixture, cov, base, pi_i, var_scale, rng, tables):
@@ -283,14 +381,18 @@ def update_mu_i(i, latents, mixture, cov, base, pi_i, var_scale, rng, tables):
     Weighs opening a fresh cluster against each existing one in log space,
     with the record detached, and either leaves the record where it is,
     joins another cluster or draws a new location from its Gaussian
-    posterior. The weights are read from ``tables``, an :class:`UrnTables`
-    built for the current sweep, which computes them for a block of records
-    at once and keeps them until the partition changes: a record that stays
-    returns without changing anything, and a move, birth or death drops the
-    cached rows. A record alone in its cluster is detached first, so its
-    cluster dies before it is weighed. Raises ``FloatingPointError`` naming
-    the record when its membership weights are not finite.
+    posterior. The choice is read from ``tables``, an :class:`UrnTables`
+    built for the current sweep, which weighs and decides a block of records
+    at once and keeps them until the partition changes: a record flagged in
+    ``tables.stay`` returns at once, and a move, birth or death drops the
+    block. A record alone in its cluster is detached first, so its cluster
+    dies before it is weighed. Before a birth draws its location, the
+    uniforms that the tables drew ahead go back to ``rng``. Raises
+    ``FloatingPointError`` naming the record when its membership weights
+    are not finite.
     """
+    if tables.stay[i]:
+        return mixture
     old = mixture.labels[i]
     if mixture.counts[old] > 1:
         idx = tables.choose(i, mixture, rng)
@@ -301,9 +403,14 @@ def update_mu_i(i, latents, mixture, cov, base, pi_i, var_scale, rng, tables):
         mixture.labels[i] = -1
         mixture.remove_cluster(old)
         tables.drop(old)
-        idx = tables.choose(i, mixture, rng) if mixture.r else 0
+        if mixture.r:
+            idx = tables.choose(i, mixture, rng)
+        else:
+            idx = 0
+            tables.hand_back(i, rng)
 
     if idx == 0:
+        tables.hand_back(i + 1, rng)
         z_i = latents.z[i]
         w_i = 1.0 / pi_i
         nu, V = _location_posterior(
@@ -343,16 +450,22 @@ def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng):
     latents, sigma, the base variances, ``var_scale``, the pis and the PD
     hyperparameters as they were and moves no existing location, and its
     births and deaths update the tables as they happen. The loop still
-    calls :func:`update_mu_i` once per record, in order, but the weights
-    are normalised for a block of records at once: most records stay where
-    they are, which leaves the partition and so every cached row as it was,
-    and the rows are weighed again only after a record moves, a cluster is
-    born or a cluster dies.
+    calls :func:`update_mu_i` once per record, in order, but the tables
+    weigh and decide a block of records at once, with one uniform per record
+    drawn together: most records stay where they are, which leaves the
+    partition and so the block as it was, and a block is weighed again only
+    after a record moves, a cluster is born or a cluster dies. A record that
+    stays costs one list lookup. At the end of the step the tables hand the
+    uniforms they drew ahead back to ``rng``, so every later conditional
+    draws exactly what it would draw had each record drawn its own uniform.
     """
     n, q = latents.z.shape
     tables = UrnTables(latents.z, pis, var_scale, cov, base.base_var, hyper, mixture.mus)
-    for i in range(n):
-        update_mu_i(i, latents, mixture, cov, base, pis[i], var_scale, rng, tables)
+    # a block row that is not finite warns nothing: its record raises at its turn
+    with np.errstate(invalid="ignore"):
+        for i in range(n):
+            update_mu_i(i, latents, mixture, cov, base, pis[i], var_scale, rng, tables)
+    tables.hand_back(n, rng)
     update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
 
     base.base_var = update_base_scales(base, mixture.mus, rng)

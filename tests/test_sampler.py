@@ -462,20 +462,25 @@ def reference_gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rn
     resample_latents(latents, mixture, cov, var_scale, pis, rng)
 
 
-def scenario_sweeps(scenario, sweeps, seed=3, sweep=gibbs_sweep):
+def scenario_start(scenario, seed):
+    """``((latents, mixture, cov, base, hyper), var_scale, pis)`` of a scenario's chain start."""
     spec = ScenarioSpec(scenario, seed=seed)
     dataset, _ = (gen_study1 if scenario in STUDY1 else gen_study2)(spec)
     schema = fit_transforms(build_schema(scenario_variable_specs(scenario)), dataset)
     weight_mode, var_scale = scenario_sampler_settings(scenario, dataset.wbar)
-    cfg = SamplerConfig(iterations=sweeps + 1, burnin=0, var_scale=var_scale,
+    cfg = SamplerConfig(iterations=2, burnin=0, var_scale=var_scale,
                         weight_mode=weight_mode, priors=PRIOR_C)
     pis = effective_pis(dataset, weight_mode)
     latents = initial_latents(dataset, schema)
-    mixture, cov, base, hyper = init_states(latents, schema, cfg)
+    return (latents, *init_states(latents, schema, cfg)), var_scale, pis
+
+
+def scenario_sweeps(scenario, sweeps, seed=3, sweep=gibbs_sweep):
+    states, var_scale, pis = scenario_start(scenario, seed)
     rng = np.random.default_rng(seed)
     for _ in range(sweeps):
-        sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng)
-    return mixture, cov, base, hyper
+        sweep(*states, var_scale, pis, rng)
+    return states[1:]
 
 
 @pytest.mark.parametrize("scenario", ["I", "II", "III", "IV", "V", "VI"])
@@ -639,3 +644,107 @@ def test_non_finite_row_raises_at_its_turn_inside_a_block():
                               log_new[bad], log_const[bad])
     # neither drew a uniform for the record that raised
     assert rng_new.random() == rng_ref.random()
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937]
+
+
+def generator_position(rng):
+    """The generator's full state, in a form that compares with ``==``."""
+    def freeze(value):
+        if isinstance(value, dict):
+            return tuple((key, freeze(v)) for key, v in sorted(value.items()))
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        return value
+    return freeze(rng.bit_generator.state)
+
+
+def sweeps_keep_generator_position(scenario, sweeps, bit_generator, seed=3):
+    """Whether gibbs_sweep leaves the generator where the reference sweep does.
+
+    Both chains start from the same states and generator seed; after every
+    sweep their generator states and partitions are compared.
+    """
+    new, var_scale, pis = scenario_start(scenario, seed)
+    ref = scenario_start(scenario, seed)[0]
+    rng_new, rng_ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for _ in range(sweeps):
+        gibbs_sweep(*new, var_scale, pis, rng_new)
+        reference_gibbs_sweep(*ref, var_scale, pis, rng_ref)
+        if (generator_position(rng_new) != generator_position(rng_ref)
+                or not np.array_equal(new[1].labels, ref[1].labels)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("scenario", ["I", "II", "III", "IV", "V", "VI"])
+def test_sweeps_leave_the_generator_where_the_reference_does(scenario, bit_generator):
+    assert sweeps_keep_generator_position(scenario, 15, bit_generator)
+
+
+def births_against_reference(latents, cov, base, hyper, pis, labels, mus, rng_new, rng_ref):
+    """Step (a) over every record by update_mu_i and by the reference.
+
+    Returns ``{record: generator states equal}`` for every record that
+    opened a new cluster, read right after its birth, and whether the
+    partitions stayed equal and the generator states are equal at the end
+    of the pass.
+    """
+    counts = np.bincount(labels)
+    new = MixtureState(labels.copy(), mus.copy(), counts.copy())
+    ref = MixtureState(labels.copy(), mus.copy(), counts.copy())
+    tables = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, new.mus)
+    log_new, log_const = urn_sweep_terms(latents.z, pis, 1.0, cov, base.base_var)
+    births = {}
+    for i in range(len(labels)):
+        update_mu_i(i, latents, new, cov, base, pis[i], 1.0, rng_new, tables)
+        reference_update_mu_i(i, latents, ref, cov, base, hyper, pis[i], 1.0, rng_ref,
+                              log_new[i], log_const[i])
+        if not np.array_equal(new.labels, ref.labels):
+            return births, False
+        if new.counts[new.labels[i]] == 1:
+            births[i] = generator_position(rng_new) == generator_position(rng_ref)
+    tables.hand_back(len(labels), rng_new)
+    return births, generator_position(rng_new) == generator_position(rng_ref)
+
+
+def far_records_partition(trial):
+    """Nine separated clusters and three records far from every location.
+
+    Each far record opens a new cluster: record URN_BLOCK - 1 at the last row
+    of the first block, record URN_BLOCK at the first row of the next, and
+    record URN_BLOCK + 5, alone in its cluster, after that cluster dies.
+    """
+    state = separated_partition(trial, singleton=URN_BLOCK + 5)
+    z = state[0].z
+    z[URN_BLOCK - 1] = 60.0
+    z[URN_BLOCK] = -60.0
+    z[URN_BLOCK + 5] = (60.0, -60.0, 60.0)
+    return state
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_births_leave_the_generator_where_the_reference_does(bit_generator):
+    for trial in range(4):
+        births, agreed = births_against_reference(
+            *far_records_partition(trial), np.random.Generator(bit_generator(trial)),
+            np.random.Generator(bit_generator(trial)))
+        assert {URN_BLOCK - 1, URN_BLOCK, URN_BLOCK + 5} <= set(births)
+        assert all(births.values()) and agreed
+    # a lone record of the only cluster opens a new one without a uniform
+    latents, mixture, cov, base, hyper, _ = tiny_states(n=1)
+    births, agreed = births_against_reference(
+        latents, cov, base, hyper, np.ones(1), mixture.labels, mixture.mus,
+        np.random.Generator(bit_generator(7)), np.random.Generator(bit_generator(7)))
+    assert births == {0: True} and agreed
+
+
+def test_a_hand_back_that_does_nothing_is_caught(monkeypatch):
+    monkeypatch.setattr(UrnTables, "hand_back", lambda self, i, rng: None)
+    births, _ = births_against_reference(
+        *far_records_partition(0), np.random.default_rng(0), np.random.default_rng(0))
+    assert not all(births.values())
+    for bit_generator in BIT_GENERATORS:
+        assert not sweeps_keep_generator_position("V", 15, bit_generator)
