@@ -8,6 +8,8 @@ records' sampling probabilities so complex-survey weights enter the model.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .latent import (LatentState, TransformSpec, conditional_moments, decode_ordinal,
                      fit_transforms, initial_latents, resample_latents,
                      transform_continuous)
@@ -26,4 +28,6 @@ from .simgen import (MixtureDensity, ScenarioSpec, gen_study1, gen_study2,
                      scenario_sampler_settings, scenario_variable_specs,
                      study1_latents)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes of the package too, but not part of its API
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -223,10 +223,8 @@ def _correlation_logpost(factor, sdevs, scatter, n, q):
     inv_chol, logdet = factor
     minors = q * logdet + float(np.log((inv_chol * inv_chol).sum(axis=0)).sum())
     post = -0.5 * (q + 1.0) * minors - 0.5 * (n + 2.0 - q * (q - 1.0)) * logdet
-    if scatter is not None and scatter.any():
-        a = scatter / (sdevs[:, None] * sdevs)
-        post -= 0.5 * float(((inv_chol @ a) * inv_chol).sum())
-    return post
+    a = scatter / (sdevs[:, None] * sdevs)
+    return post - 0.5 * float(((inv_chol @ a) * inv_chol).sum())
 
 
 def _window_log_ratio(w_lo, w_hi, c_lo, c_hi):

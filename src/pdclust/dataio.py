@@ -67,6 +67,7 @@ def read_schema_file(path) -> tuple[list[VariableSpec], str | None, list[str]]:
     specs: list[VariableSpec] = []
     weight_column = None
     skipped: list[str] = []
+    declared: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -78,6 +79,10 @@ def read_schema_file(path) -> tuple[list[VariableSpec], str | None, list[str]]:
         where = f"{path}:{lineno}"
         if kind not in _SCHEMA_KEYS:
             raise DataFormatError(f"{where}: unknown kind {kind!r}")
+        if name in declared:
+            raise DataFormatError(f"{where}: column {name!r} is already declared "
+                                  f"on line {declared[name]}")
+        declared[name] = lineno
         opts = _parse_options(rest, where, kind)
         if kind == "weight":
             if weight_column is not None:
@@ -134,6 +139,9 @@ def read_data_csv(path, specs, weight_column: str | None = None,
         raise DataFormatError(f"{path}: no data rows")
 
     pos = {name: i for i, name in enumerate(header)}
+    if len(pos) < len(header):
+        twice = next(name for i, name in enumerate(header) if pos[name] != i)
+        raise DataFormatError(f"{path}: column {twice!r} appears more than once in the header")
     known = {v.name for v in specs} | set(skipped)
     if weight_column is not None:
         known.add(weight_column)

@@ -137,8 +137,7 @@ def update_discount(hyper: PDHyper, cluster_sizes, rng) -> float:
     weighted by the corresponding component densities. The target carries
     the strength's conditional prior too: its support shift makes it a
     function of the discount, and dropping it leaves the pair sampler
-    without the stated joint prior as its invariant law. ``cluster_sizes``
-    may be ``None`` to disable the likelihood (prior-recovery mode).
+    without the stated joint prior as its invariant law.
     """
     cand = 0.0 if rng.random() < 0.5 else rng.random()
     cur = hyper.discount
@@ -148,7 +147,7 @@ def update_discount(hyper: PDHyper, cluster_sizes, rng) -> float:
     def logpost(a):
         out = _discount_logprior(hyper.priors, a)
         out += _strength_logprior(hyper.priors, hyper.strength, a)
-        if cluster_sizes is not None and np.isfinite(out):
+        if np.isfinite(out):
             out += eppf_log(a, hyper.strength, cluster_sizes)
         return out
 
@@ -162,8 +161,7 @@ def update_discount(hyper: PDHyper, cluster_sizes, rng) -> float:
 def update_strength(hyper: PDHyper, cluster_sizes, rng) -> float:
     """Uniform random-walk MH update of the strength.
 
-    Proposals at or below ``-discount`` are rejected outright. With
-    ``cluster_sizes=None`` the target is the conditional prior alone.
+    Proposals at or below ``-discount`` are rejected outright.
     """
     cur = hyper.strength
     cand = rng.uniform(cur - STRENGTH_STEP, cur + STRENGTH_STEP)
@@ -171,10 +169,8 @@ def update_strength(hyper: PDHyper, cluster_sizes, rng) -> float:
         return cur
 
     def logpost(b):
-        out = _strength_logprior(hyper.priors, b, hyper.discount)
-        if cluster_sizes is not None:
-            out += eppf_log(hyper.discount, b, cluster_sizes)
-        return out
+        return (_strength_logprior(hyper.priors, b, hyper.discount)
+                + eppf_log(hyper.discount, b, cluster_sizes))
 
     if np.log(rng.random()) < logpost(cand) - logpost(cur):
         return float(cand)
@@ -185,18 +181,13 @@ def update_base_scales(base: BaseMeasure, unique_locations, rng) -> np.ndarray:
     """Conjugate draw of the base-measure variances given cluster locations.
 
     Returns the drawn variances; coordinate ``l`` gets
-    InvGamma(shape + r/2, scale + sum_j mu*_{jl}^2 / 2). An empty location
-    list (r = 0) returns a draw from the prior.
+    InvGamma(shape + r/2, scale + sum_j mu*_{jl}^2 / 2) for an (r, q) array
+    of locations, which is the prior at r = 0.
     """
-    mus = np.asarray(unique_locations, dtype=float)
+    mus = np.atleast_2d(np.asarray(unique_locations, dtype=float))
     q = base.base_var.shape[0]
-    if mus.size == 0:
-        r, ssq = 0, np.zeros(q)
-    else:
-        mus = np.atleast_2d(mus)
-        if mus.shape[1] != q:
-            raise ValueError("location dimension mismatch")
-        r, ssq = mus.shape[0], (mus ** 2).sum(axis=0)
-    shape = base.priors.base_prior_shape + 0.5 * r
-    scale = base.priors.base_prior_scale + 0.5 * ssq
+    if mus.shape[1] != q:
+        raise ValueError("location dimension mismatch")
+    shape = base.priors.base_prior_shape + 0.5 * mus.shape[0]
+    scale = base.priors.base_prior_scale + 0.5 * (mus ** 2).sum(axis=0)
     return scale / rng.standard_gamma(shape, size=q)

@@ -89,6 +89,9 @@ class SamplerConfig:
         _check_count("seed", self.seed, 0)
         if self.burnin >= self.iterations:
             raise ValueError("burnin must be smaller than iterations")
+        if self.kept == 0:
+            raise ValueError(f"iterations - burnin ({self.iterations} - {self.burnin}) keeps no "
+                             f"draw at thinning {self.thinning}")
         _check_positive(self, ["var_scale"])
         if self.weight_mode not in (WEIGHT_MODE_IGNORE, WEIGHT_MODE_DESIGN):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
@@ -164,7 +167,7 @@ URN_BLOCK = 32
 
 
 class UrnTables:
-    """Everything step (a) reads to weigh a record's urn choices, for one sweep.
+    """Everything step (a) reads and changes, for one sweep.
 
     - ``log_new`` and ``log_const``: the :func:`urn_sweep_terms` of every
       record.
@@ -179,8 +182,7 @@ class UrnTables:
       (2 c_i)``, one column per cluster in the order of ``mixture.mus``.
       Column 0 holds zeros, so that the columns line up with a block row.
     - ``stay[i]``: True when record i's choice is already known to leave it
-      in its own cluster. :func:`update_mu_i` returns at once for such a
-      record.
+      in its own cluster.
 
     The records must be updated in order, 0 to n - 1, each once. A block of
     up to :data:`URN_BLOCK` consecutive records is weighed and decided at
@@ -196,26 +198,20 @@ class UrnTables:
 
     Step (a) changes none of the latents, sigma, the base variances,
     ``var_scale``, the pis, the discount or the strength, and it moves no
-    existing location: it only deletes a location when a cluster dies and
-    appends one when a cluster is born. So the tables stay valid for the
-    whole step as long as :meth:`drop` and :meth:`add` follow
-    ``MixtureState.remove_cluster`` and ``add_cluster``. A block depends on
-    the partition as well, and a record that stays in its own cluster
-    leaves the partition exactly as it was, so the block stays valid until
-    a record moves, a cluster is born or a cluster dies: :meth:`drop`,
-    :meth:`add` and :meth:`forget_rows` drop it and its stay flags.
+    existing location, so the tables stay valid for the whole step as long
+    as the partition changes only through :meth:`detach`, :meth:`birth`
+    and a join of a detached record. A block depends on the partition as
+    well, and a record that stays leaves the partition as it was, so the
+    block and its stay flags are dropped (:meth:`forget_rows`) only when a
+    record moves, a cluster is born or a cluster dies.
 
     Generator order: record i's uniform is the next one after those of the
     records before it, exactly as if each record drew its own. Between two
     records step (a) draws nothing but these uniforms, so the uniforms that
-    a dropped block drew ahead are kept for the records after it. Where
-    anything else may draw from the generator, the tables must first hand
-    the uniforms drawn ahead back with :meth:`hand_back`, which sets the
-    generator to where the per-record draws would have left it:
-    :func:`update_mu_i` does so before a birth draws its location and when
-    the lone record of the only cluster opens a new one without a draw,
-    :meth:`choose` before it raises, and :func:`gibbs_sweep` at the end of
-    the step.
+    a dropped block drew ahead are kept for the records after it, and no
+    block reaches past record n - 1. Only a birth's location draw and the
+    raise of a non-finite record come between, and each first hands the
+    uniforms drawn ahead back with :meth:`hand_back`.
 
     The quadratic forms use the same stacked matmul, product, sum and
     division as a per-record computation would. With OpenBLAS they equal it
@@ -230,6 +226,9 @@ class UrnTables:
     def __init__(self, z, pis, var_scale, cov, base_var, hyper, mus):
         n = z.shape[0]
         self.z = z
+        self.pis = pis
+        self.var_scale = var_scale
+        self.base_var = base_var
         self.c = var_scale * np.asarray(pis, dtype=float)
         self.sigma_inv = cov.sigma_inv
         self.log_new, self.log_const = urn_sweep_terms(z, pis, var_scale, cov, base_var)
@@ -264,18 +263,33 @@ class UrnTables:
         self._lead[:, 0] = self.log_new
         self._lead[:, 1:] = self.log_const[:, None]
 
-    def drop(self, j: int):
-        """Forget location ``j``, as ``MixtureState.remove_cluster(j)`` does."""
-        self.half_quad = np.delete(self.half_quad, j + 1, axis=1)
+    def detach(self, i: int, mixture: MixtureState):
+        """Take record ``i`` out of its cluster, which dies if the record was alone.
+
+        The record's label becomes -1 until a join or :meth:`birth` gives it
+        a cluster.
+        """
+        old = mixture.labels[i]
+        mixture.labels[i] = -1
+        mixture.counts[old] -= 1
+        if mixture.counts[old] == 0:
+            mixture.remove_cluster(old)
+            self.half_quad = np.delete(self.half_quad, old + 1, axis=1)
         self.forget_rows()
 
-    def add(self, mu: np.ndarray):
-        """Append a column for a new location, as ``MixtureState.add_cluster`` does."""
-        self.half_quad = np.hstack([self.half_quad, self._half_quad(mu[None, :])])
-        self.forget_rows()
+    def birth(self, i: int, mixture: MixtureState, rng):
+        """Open a new cluster for detached record ``i`` at a location drawn from its posterior."""
+        self.hand_back(i + 1, rng)
+        z_i = self.z[i]
+        w_i = 1.0 / self.pis[i]
+        nu, V = _location_posterior(self.sigma_inv, self.base_var, w_i / self.var_scale,
+                                    (z_i * w_i) / self.var_scale)
+        mu_new = nu + np.linalg.cholesky(V) @ rng.standard_normal(z_i.shape[0])
+        mixture.labels[i] = mixture.add_cluster(mu_new)
+        self.half_quad = np.hstack([self.half_quad, self._half_quad(mu_new[None, :])])
 
     def forget_rows(self):
-        """Drop the block and its stay flags; call it whenever the partition changes.
+        """Drop the block and its stay flags.
 
         The block's first record is kept, so that the uniforms the block
         drew ahead still go to the records after it.
@@ -375,21 +389,16 @@ class UrnTables:
         return self._choice[m]
 
 
-def update_mu_i(i, latents, mixture, cov, base, pi_i, var_scale, rng, tables):
+def update_mu_i(i, mixture, rng, tables):
     """Collapsed urn reassignment of record ``i`` (conditional (a)).
 
-    Weighs opening a fresh cluster against each existing one in log space,
-    with the record detached, and either leaves the record where it is,
-    joins another cluster or draws a new location from its Gaussian
-    posterior. The choice is read from ``tables``, an :class:`UrnTables`
-    built for the current sweep, which weighs and decides a block of records
-    at once and keeps them until the partition changes: a record flagged in
-    ``tables.stay`` returns at once, and a move, birth or death drops the
-    block. A record alone in its cluster is detached first, so its cluster
-    dies before it is weighed. Before a birth draws its location, the
-    uniforms that the tables drew ahead go back to ``rng``. Raises
-    ``FloatingPointError`` naming the record when its membership weights
-    are not finite.
+    Weighs opening a fresh cluster against each existing one, with the
+    record counted out of its own cluster, and either leaves the record
+    where it is, joins another cluster or opens a new one. ``tables`` is the
+    sweep's :class:`UrnTables`, which decides the choice and makes the
+    change. A record alone in its cluster is detached first, so its cluster
+    dies before it is weighed. Raises ``FloatingPointError`` naming the
+    record when its membership weights are not finite.
     """
     if tables.stay[i]:
         return mixture
@@ -398,32 +407,15 @@ def update_mu_i(i, latents, mixture, cov, base, pi_i, var_scale, rng, tables):
         idx = tables.choose(i, mixture, rng)
         if idx == old + 1:
             return mixture
-        mixture.counts[old] -= 1
+        tables.detach(i, mixture)
     else:
-        mixture.labels[i] = -1
-        mixture.remove_cluster(old)
-        tables.drop(old)
-        if mixture.r:
-            idx = tables.choose(i, mixture, rng)
-        else:
-            idx = 0
-            tables.hand_back(i, rng)
-
+        tables.detach(i, mixture)
+        idx = tables.choose(i, mixture, rng) if mixture.r else 0
     if idx == 0:
-        tables.hand_back(i + 1, rng)
-        z_i = latents.z[i]
-        w_i = 1.0 / pi_i
-        nu, V = _location_posterior(
-            cov.sigma_inv, base.base_var, w_i / var_scale, (z_i * w_i) / var_scale
-        )
-        mu_new = nu + np.linalg.cholesky(V) @ rng.standard_normal(z_i.shape[0])
-        mixture.labels[i] = mixture.add_cluster(mu_new)
-        tables.add(mu_new)
+        tables.birth(i, mixture, rng)
     else:
-        j = idx - 1
-        mixture.labels[i] = j
-        mixture.counts[j] += 1
-        tables.forget_rows()
+        mixture.labels[i] = idx - 1
+        mixture.counts[idx - 1] += 1
     return mixture
 
 
@@ -443,29 +435,17 @@ def update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng):
 def gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng):
     """One full pass over conditionals (a) through (h).
 
-    Step (a) reads its urn weights from one :class:`UrnTables`, built before
-    its loop over the records: the per-record constants, the urn's log
-    weights by count, and the half quadratic form of every record about
-    every location. The tables stay valid through the step: it leaves the
-    latents, sigma, the base variances, ``var_scale``, the pis and the PD
-    hyperparameters as they were and moves no existing location, and its
-    births and deaths update the tables as they happen. The loop still
-    calls :func:`update_mu_i` once per record, in order, but the tables
-    weigh and decide a block of records at once, with one uniform per record
-    drawn together: most records stay where they are, which leaves the
-    partition and so the block as it was, and a block is weighed again only
-    after a record moves, a cluster is born or a cluster dies. A record that
-    stays costs one list lookup. At the end of the step the tables hand the
-    uniforms they drew ahead back to ``rng``, so every later conditional
-    draws exactly what it would draw had each record drawn its own uniform.
+    Step (a) calls :func:`update_mu_i` once per record, in order, with one
+    :class:`UrnTables` built before the loop; the tables decide a block of
+    records at once, so a record that stays costs one list lookup, and they
+    leave ``rng`` where per-record draws would have left it.
     """
     n, q = latents.z.shape
     tables = UrnTables(latents.z, pis, var_scale, cov, base.base_var, hyper, mixture.mus)
     # a block row that is not finite warns nothing: its record raises at its turn
     with np.errstate(invalid="ignore"):
         for i in range(n):
-            update_mu_i(i, latents, mixture, cov, base, pis[i], var_scale, rng, tables)
-    tables.hand_back(n, rng)
+            update_mu_i(i, mixture, rng, tables)
     update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
 
     base.base_var = update_base_scales(base, mixture.mus, rng)

@@ -231,7 +231,7 @@ class TestCriterion08PriorRecovery:
         for t in range(100_000):
             for j in range(3):
                 for k in range(j + 1, 3):
-                    update_correlation(state, j, k, None, 0, rng)
+                    update_correlation(state, j, k, np.zeros((3, 3)), 0, rng)
             if t >= 2000 and t % 60 == 0:
                 kept.append(state.corr[np.triu_indices(3, 1)].copy())
         kept = np.array(kept)
@@ -247,8 +247,8 @@ class TestCriterion08PriorRecovery:
         rng = np.random.default_rng(8)
         trace = []
         for _ in range(80_000):
-            hyper.discount = update_discount(hyper, None, rng)
-            hyper.strength = update_strength(hyper, None, rng)
+            hyper.discount = update_discount(hyper, [1], rng)
+            hyper.strength = update_strength(hyper, [1], rng)
             trace.append(hyper.strength + hyper.discount)
         thinned = np.asarray(trace[2000::25])
         p = stats.kstest(thinned, stats.gamma(a=1.0, scale=1.0).cdf).pvalue
@@ -262,8 +262,8 @@ class TestCriterion08PriorRecovery:
         rng = np.random.default_rng(9)
         hits = []
         for _ in range(60_000):
-            hyper.discount = update_discount(hyper, None, rng)
-            hyper.strength = update_strength(hyper, None, rng)
+            hyper.discount = update_discount(hyper, [1], rng)
+            hyper.strength = update_strength(hyper, [1], rng)
             hits.append(hyper.discount == 0.0)
         hits = np.asarray(hits[2000:], dtype=float)
         batches = hits[: len(hits) // 60 * 60].reshape(60, -1).mean(axis=1)

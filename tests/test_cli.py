@@ -69,7 +69,8 @@ class TestSchemaFile:
                      "income continuous transform=log-shift shift_quantile=1.5",
                      "income continuous shift_quantile=abc",
                      "x ordinal levels=2 levels=3",
-                     "y continuous transform=log-shift transform=identity"):
+                     "y continuous transform=log-shift transform=identity",
+                     "a weight"):
             path.write_text(f"a continuous\n{line}\n")
             with pytest.raises(DataFormatError) as err:
                 read_schema_file(path)
@@ -111,7 +112,8 @@ class TestDataCsv:
             read_data_csv(path, [continuous_spec("a")], skipped=["b"])
 
     @pytest.mark.parametrize("text", ["", "a,w\n", "a,w\n\n", "a,w\n1.0,x\n",
-                                      "a,w\n1.0,2.0\n3.0\n", "a,w\n1.0,#2\n"])
+                                      "a,w\n1.0,2.0\n3.0\n", "a,w\n1.0,#2\n",
+                                      "a,a,w\n1.0,2.0,3.0\n"])
     def test_bad_files_raise(self, tmp_path, text):
         path = tmp_path / "d.csv"
         path.write_text(text)
@@ -248,9 +250,11 @@ class TestConfig:
         ("var_prior_scale", {"preset": "custom", "var_prior_shape": 2.0,
                              "var_prior_scale": 0.0, "base_prior_shape": 2.0,
                              "base_prior_scale": 2.0}, []),
+        ("thinning", {"iterations": 3, "burnin": 1, "thinning": 3}, []),
     ], ids=["iterations", "chains", "thinning", "seed", "burnin", "discount_zero_prob",
             "strength_step", "base_prior_scale", "corr_window_frac", "var_proposal_shape",
-            "strength_shape-flag", "var_prior_shape", "custom-var_prior_scale"])
+            "strength_shape-flag", "var_prior_shape", "custom-var_prior_scale",
+            "no-kept-draw"])
     def test_bad_values_exit_one_and_name_the_setting(self, scenario_files, capsys,
                                                       key, settings, flags):
         tmp, _, _ = scenario_files

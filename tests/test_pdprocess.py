@@ -83,6 +83,11 @@ class TestEppf:
         values = [eppf_log(0.0, b, [10]) for b in np.linspace(0.1, 8.0, 25)]
         assert np.all(np.diff(values) < 0)
 
+    @pytest.mark.parametrize("discount, strength", [(0.0, 1.0), (0.0, 0.01), (0.0, 250.0),
+                                                    (0.4, -0.3), (0.9, -0.85), (0.3, 7.5)])
+    def test_one_record_partition_has_log_eppf_exactly_zero(self, discount, strength):
+        assert eppf_log(discount, strength, [1]) == 0.0
+
     def test_invalid_inputs_raise(self):
         with pytest.raises(ValueError):
             eppf_log(1.2, 1.0, [2])
@@ -97,7 +102,7 @@ class TestHyperUpdates:
         # proposing the current point must never move away from it
         hyper = PDHyper(0.0, 1.0)
         rng = np.random.default_rng(0)
-        draws = {update_discount(hyper, None, rng) for _ in range(200)}
+        draws = {update_discount(hyper, [1], rng) for _ in range(200)}
         assert 0.0 in draws  # zero is re-proposed half the time and kept
 
     def test_domain_is_respected_over_many_updates(self):
@@ -111,13 +116,14 @@ class TestHyperUpdates:
             assert hyper.strength > -hyper.discount
 
     def test_prior_recovery_point_mass(self):
-        # likelihood disabled: cycling both updates recovers P(discount = 0)
+        # a one-record partition's likelihood is 1, so cycling both updates
+        # recovers P(discount = 0)
         hyper = PDHyper(0.0, 1.0, priors=PriorConstants(discount_zero_prob=0.35))
         rng = np.random.default_rng(2)
         hits = []
         for _ in range(30_000):
-            hyper.discount = update_discount(hyper, None, rng)
-            hyper.strength = update_strength(hyper, None, rng)
+            hyper.discount = update_discount(hyper, [1], rng)
+            hyper.strength = update_strength(hyper, [1], rng)
             hits.append(hyper.discount == 0.0)
         hits = np.asarray(hits[2000:], dtype=float)
         batches = hits[: len(hits) // 50 * 50].reshape(50, -1).mean(axis=1)
@@ -129,8 +135,8 @@ class TestHyperUpdates:
         rng = np.random.default_rng(3)
         trace = []
         for _ in range(60_000):
-            hyper.discount = update_discount(hyper, None, rng)
-            hyper.strength = update_strength(hyper, None, rng)
+            hyper.discount = update_discount(hyper, [1], rng)
+            hyper.strength = update_strength(hyper, [1], rng)
             trace.append(hyper.strength + hyper.discount)
         thinned = np.asarray(trace[2000::20])
         p = stats.kstest(thinned, stats.gamma(a=1.5, scale=1 / 0.8).cdf).pvalue

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -50,7 +51,7 @@ def tiny_states(n=6, q=1, seed=0, z=None):
 def urn_update(i, latents, mixture, cov, base, hyper, pis, var_scale, rng):
     """One step-(a) reassignment of record ``i``, from tables built as gibbs_sweep builds them."""
     tables = UrnTables(latents.z, pis, var_scale, cov, base.base_var, hyper, mixture.mus)
-    update_mu_i(i, latents, mixture, cov, base, pis[i], var_scale, rng, tables)
+    update_mu_i(i, mixture, rng, tables)
 
 
 class TestMembershipUpdate:
@@ -224,6 +225,8 @@ class TestSweepAndChain:
             SamplerConfig(iterations=10, burnin=1, var_scale=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(iterations=10, burnin=1, weight_mode="sometimes")
+        with pytest.raises(ValueError, match="iterations.*burnin.*thinning"):
+            SamplerConfig(iterations=3, burnin=1, thinning=3)
 
     def test_effective_pis_modes(self):
         ds = Dataset(values=[[0.0], [0.0]], weights=[2.0, 4.0])
@@ -295,6 +298,13 @@ def test_no_assert_statement_guards_the_package():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements in pdclust: " + ", ".join(found)
+
+
+def test_no_module_is_exported():
+    # ``from pdclust import *`` would rebind a caller's ``schema`` to pdclust.schema
+    modules = [name for name in pdclust.__all__
+               if isinstance(getattr(pdclust, name), types.ModuleType)]
+    assert not modules, "modules in pdclust.__all__: " + ", ".join(modules)
 
 
 def _names_read(tree):
@@ -402,7 +412,7 @@ def reference_correlation_logpost(corr, sdevs, scatter, n, q):
             raise np.linalg.LinAlgError("principal minor not positive")
         minors += val
     post = -0.5 * (q + 1.0) * minors - 0.5 * (n + 2.0 - q * (q - 1.0)) * logdet
-    if scatter is not None and np.any(scatter):
+    if np.any(scatter):
         a = scatter / np.outer(sdevs, sdevs)
         post -= 0.5 * float(np.trace(np.linalg.solve(corr, a)))
     return post
@@ -527,7 +537,7 @@ def test_quadratic_table_tracks_births_and_deaths(q):
         births = deaths = 0
         for i in range(n):
             deaths += mixture.counts[mixture.labels[i]] == 1
-            update_mu_i(i, latents, mixture, cov, base, pis[i], 1.0, rng, tables)
+            update_mu_i(i, mixture, rng, tables)
             births += mixture.counts[mixture.labels[i]] == 1
         fresh = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, mixture.mus)
         if q <= 3:
@@ -557,7 +567,7 @@ def urn_pass_against_reference(latents, cov, base, hyper, pis, labels, mus, seed
         row = i - tables._rows.start if i in tables._rows else 0
         old, alone = new.labels[i], new.counts[new.labels[i]] == 1
         length = new.r + (not alone)
-        update_mu_i(i, latents, new, cov, base, pis[i], 1.0, rng_new, tables)
+        update_mu_i(i, new, rng_new, tables)
         reference_update_mu_i(i, latents, ref, cov, base, hyper, pis[i], 1.0, rng_ref,
                               log_new[i], log_const[i])
         assert np.array_equal(new.labels, ref.labels)
@@ -637,7 +647,7 @@ def test_non_finite_row_raises_at_its_turn_inside_a_block():
     assert not any(moved for *_, moved, _ in turns)
     assert bad in tables._rows and bad > tables._rows.start
     with pytest.raises(FloatingPointError, match=f"record {bad} "):
-        update_mu_i(bad, latents, new, cov, base, pis[bad], 1.0, rng_new, tables)
+        update_mu_i(bad, new, rng_new, tables)
     log_new, log_const = urn_sweep_terms(latents.z, pis, 1.0, cov, base.base_var)
     with pytest.raises(FloatingPointError, match=f"record {bad} "):
         reference_update_mu_i(bad, latents, ref, cov, base, hyper, pis[bad], 1.0, rng_ref,
@@ -699,14 +709,13 @@ def births_against_reference(latents, cov, base, hyper, pis, labels, mus, rng_ne
     log_new, log_const = urn_sweep_terms(latents.z, pis, 1.0, cov, base.base_var)
     births = {}
     for i in range(len(labels)):
-        update_mu_i(i, latents, new, cov, base, pis[i], 1.0, rng_new, tables)
+        update_mu_i(i, new, rng_new, tables)
         reference_update_mu_i(i, latents, ref, cov, base, hyper, pis[i], 1.0, rng_ref,
                               log_new[i], log_const[i])
         if not np.array_equal(new.labels, ref.labels):
             return births, False
         if new.counts[new.labels[i]] == 1:
             births[i] = generator_position(rng_new) == generator_position(rng_ref)
-    tables.hand_back(len(labels), rng_new)
     return births, generator_position(rng_new) == generator_position(rng_ref)
 
 
