@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .dataio import (DataFormatError, read_data_csv, read_schema_file,
-                     write_data_csv, write_schema_file, write_similarity_binary,
-                     write_text_output)
+from . import __version__, postproc
+from .dataio import (DataFormatError, partitions_digest, read_data_csv, read_schema_file,
+                     read_similarity_binary, read_similarity_header, write_data_csv,
+                     write_schema_file, write_similarity_binary, write_text_output)
 from .latent import fit_transforms
 from .postproc import (cluster_summary, dahl_select, expand_variables, hm_measure,
-                       min_hm_select, similarity)
+                       min_hm_select)
 from .sampler import ChainOutput, SamplerConfig, _check_count, run_chain
 from .schema import PriorConstants, SchemaError, build_schema, validate_dataset
 from .simgen import (STUDY1, STUDY2, ScenarioSpec, gen_study1, gen_study2,
@@ -241,6 +241,34 @@ def _select_partition(selection, partitions, sim, expanded, weights):
     return min_hm_select(partitions, expanded, weights)
 
 
+def similarity(partitions, path: Path | None = None, load: bool = True) -> np.ndarray | None:
+    """The posterior similarity matrix of ``partitions``, kept at ``path``.
+
+    A matrix stored at ``path`` is reused when its header records the n and
+    the :func:`~pdclust.dataio.partitions_digest` of these partitions. Any
+    other outcome is a miss: no file, another digest or n, or a file that
+    cannot be read as a matrix. On a miss the matrix is computed and written
+    to ``path`` with its digest. A hit with ``load`` off reads only the
+    header and returns None. Without a ``path`` the matrix is only computed.
+    """
+    if path is None:
+        return postproc.similarity(partitions)
+    n = partitions.shape[1]
+    digest = partitions_digest(partitions)
+    try:
+        if load:
+            sim = read_similarity_binary(path, digest)
+            if sim.shape[0] == n:
+                return sim
+        elif read_similarity_header(path) == (n, digest):
+            return None
+    except (OSError, DataFormatError):
+        pass
+    sim = postproc.similarity(partitions)
+    write_similarity_binary(path, sim, digest)
+    return sim
+
+
 def _emit_chain_outputs(outdir: Path, tag: str, out: ChainOutput, free_names):
     files = {}
 
@@ -268,9 +296,8 @@ def _emit_chain_outputs(outdir: Path, tag: str, out: ChainOutput, free_names):
 def _emit_selection_outputs(outdir: Path, tag: str, selection: str, similarity_csv: bool,
                             partitions, dataset, schema):
     files = {}
-    sim = similarity(partitions)
     path = outdir / f"similarity{tag}.bin"
-    write_similarity_binary(path, sim)
+    sim = similarity(partitions, path, load=selection == "dahl" or similarity_csv)
     files["similarity"] = path.name
     if similarity_csv:
         path = outdir / f"similarity{tag}.csv"
@@ -425,10 +452,13 @@ def bench_command(scenario: str, preset: str, seed: int, out: str,
 
 
 def summarize_command(run_dir: str, selection: str | None = None) -> dict:
-    """Recompute similarity/selection/summary from a finished run.
+    """Re-run the selection and summary of a finished run, per chain and, when
+    the run pooled its chains, on the pooled partitions.
 
-    Of the run's settings it reads only those post-processing uses: data,
-    schema, selection and similarity_csv.
+    A stored similarity matrix is reused when its header records the digest of
+    the partitions read now; otherwise it is recomputed and rewritten. Of the
+    run's settings it reads only those post-processing uses: data, schema,
+    selection and similarity_csv.
     """
     outdir = Path(run_dir)
     manifest_path = outdir / "manifest.json"
@@ -438,6 +468,7 @@ def summarize_command(run_dir: str, selection: str | None = None) -> dict:
         manifest = json.loads(manifest_path.read_text())
         settings = {**_CONFIG_DEFAULTS, **manifest["config"]}
         part_names = [info["files"]["partitions"] for info in manifest["chains"]]
+        pooled = "pooled" in manifest
     except (ValueError, KeyError, TypeError) as err:  # bad JSON, missing or mistyped entry
         raise CliError(EXIT_USAGE, f"{manifest_path} is not a run manifest: "
                                    f"{type(err).__name__}: {err}") from None
@@ -446,8 +477,8 @@ def summarize_command(run_dir: str, selection: str | None = None) -> dict:
     selection = _check_selection(settings["selection"] if selection is None else selection)
 
     dataset, schema = _load_inputs(settings["data"], settings["schema"])
-    results = []
-    for c, part_name in enumerate(part_names):
+    chains = []
+    for part_name in part_names:
         part_path = outdir / part_name
         # an open handle skips np.loadtxt's own path resolution (about 4 ms
         # of 45 ms at n = 1000 and 1500 partitions)
@@ -462,11 +493,18 @@ def summarize_command(run_dir: str, selection: str | None = None) -> dict:
             raise CliError(EXIT_VALIDATION,
                            f"{part_path}: partitions have {partitions.shape[1]} "
                            f"records but the data has {dataset.n}")
-        tag = f"_chain{c}" if len(part_names) > 1 else ""
-        results.append(_emit_selection_outputs(outdir, tag, selection,
-                                               settings["similarity_csv"], partitions,
-                                               dataset, schema))
-    return {"chains": results}
+        chains.append(partitions)
+
+    def emit(tag, partitions):
+        return _emit_selection_outputs(outdir, tag, selection, settings["similarity_csv"],
+                                       partitions, dataset, schema)
+
+    multi = len(chains) > 1
+    result = {"chains": [emit(f"_chain{c}" if multi else "", partitions)
+                         for c, partitions in enumerate(chains)]}
+    if pooled:
+        result["pooled"] = emit("_pooled", np.vstack(chains))
+    return result
 
 
 def validate_command(data_path: str, schema_path: str) -> int:
@@ -526,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--burnin", type=int)
     bench_p.add_argument("--thinning", type=int)
 
-    summ_p = sub.add_parser("summarize", help="recompute post-processing outputs")
+    summ_p = sub.add_parser("summarize", help="re-run selection and summary on a finished run")
     summ_p.add_argument("--run", required=True, dest="run_dir")
     summ_p.add_argument("--selection", choices=SELECTIONS)
 

@@ -13,6 +13,7 @@ and blank lines are ignored.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
 import struct
@@ -23,7 +24,8 @@ import numpy as np
 from .latent import IDENTITY, LOG_SHIFT, TransformSpec
 from .schema import CONTINUOUS, Dataset, NOMINAL, ORDINAL, VariableSpec
 
-_SIMILARITY_MAGIC = b"PDCSIM1\x00"
+_SIMILARITY_MAGIC = b"PDCSIM2\x00"
+_DIGEST_SIZE = 32
 
 
 class DataFormatError(ValueError):
@@ -202,37 +204,67 @@ def write_text_output(path, text: str) -> None:
         fh.truncate()
 
 
-def write_similarity_binary(path, sim: np.ndarray):
-    """Dense row-major float64 dump preceded by a magic tag and n."""
+def partitions_digest(partitions) -> bytes:
+    """SHA-256 of stored partitions: their shape as two ``<Q``, then their
+    labels as C-order ``<i4`` bytes."""
+    parts = np.ascontiguousarray(partitions, dtype="<i4")
+    digest = hashlib.sha256(struct.pack("<QQ", *parts.shape))
+    digest.update(parts)
+    return digest.digest()
+
+
+def write_similarity_binary(path, sim: np.ndarray, digest: bytes):
+    """Dense row-major float64 dump preceded by a magic tag, n and the
+    :func:`partitions_digest` of the partitions the matrix was computed from."""
     sim = np.ascontiguousarray(sim, dtype="<f8")
     with _open_output(path) as fh:
         fh.write(_SIMILARITY_MAGIC)
         fh.write(struct.pack("<Q", sim.shape[0]))
+        fh.write(digest)
         sim.tofile(fh)
         fh.truncate()
 
 
-def read_similarity_binary(path) -> np.ndarray:
+def _read_similarity_header(fh, path) -> tuple[int, bytes]:
+    """Read the header at ``fh``'s start; check that the body holds n x n entries."""
+    magic = fh.read(len(_SIMILARITY_MAGIC))
+    if magic != _SIMILARITY_MAGIC:
+        raise DataFormatError(f"{path}: not a similarity matrix file")
+    header = fh.read(8 + _DIGEST_SIZE)
+    if len(header) != 8 + _DIGEST_SIZE:
+        raise DataFormatError(f"{path}: truncated similarity matrix")
+    (n,) = struct.unpack("<Q", header[:8])
+    body = os.fstat(fh.fileno()).st_size - fh.tell()
+    if body < 8 * n * n:
+        raise DataFormatError(f"{path}: truncated similarity matrix")
+    if body > 8 * n * n:
+        raise DataFormatError(f"{path}: trailing data after the {n} x {n} "
+                              "similarity matrix")
+    return n, header[8:]
+
+
+def read_similarity_header(path) -> tuple[int, bytes]:
+    """The n and partition digest of a file written by :func:`write_similarity_binary`.
+
+    Reads only the header, and checks that the body holds exactly n x n entries.
+    """
+    with open(path, "rb") as fh:
+        return _read_similarity_header(fh, path)
+
+
+def read_similarity_binary(path, digest: bytes | None = None) -> np.ndarray:
     """Read a file written by :func:`write_similarity_binary`.
 
     The body must hold exactly the n x n entries its header declares; the
-    size is checked against the file before anything is allocated.
+    size is checked against the file before anything is allocated. Given a
+    ``digest``, a file written for other partitions is rejected before its
+    body is read.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_SIMILARITY_MAGIC))
-        if magic != _SIMILARITY_MAGIC:
-            raise DataFormatError(f"{path}: not a similarity matrix file")
-        size = fh.read(8)
-        if len(size) != 8:
-            raise DataFormatError(f"{path}: truncated similarity matrix")
-        (n,) = struct.unpack("<Q", size)
-        body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if body < 8 * n * n:
-            raise DataFormatError(f"{path}: truncated similarity matrix")
-        if body > 8 * n * n:
-            raise DataFormatError(f"{path}: trailing data after the {n} x {n} "
-                                  "similarity matrix")
-        data = np.frombuffer(fh.read(body), dtype="<f8")
+        n, stored = _read_similarity_header(fh, path)
+        if digest is not None and stored != digest:
+            raise DataFormatError(f"{path}: similarity matrix of other partitions")
+        data = np.fromfile(fh, dtype="<f8", count=n * n)
     if data.size != n * n:  # the file shrank while it was read
         raise DataFormatError(f"{path}: truncated similarity matrix")
-    return data.reshape(n, n).copy()
+    return data.reshape(n, n)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -8,14 +10,17 @@ import pytest
 from pdclust import (Dataset, ScenarioSpec, build_schema, gen_study1,
                      scenario_variable_specs)
 import pdclust.cli
+import pdclust.postproc
 from pdclust.cli import (CliError, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, PRESETS,
                          bench_command, main, resolve_var_scale, run_command,
-                         summarize_command, _build_run_config, _read_config)
-from pdclust.dataio import (DataFormatError, read_data_csv, read_schema_file,
-                            read_similarity_binary, write_data_csv,
+                         summarize_command, _build_run_config, _load_inputs, _read_config)
+from pdclust.dataio import (DataFormatError, partitions_digest, read_data_csv,
+                            read_schema_file, read_similarity_binary,
+                            read_similarity_header, write_data_csv,
                             write_schema_file, write_similarity_binary,
                             write_text_output)
 from pdclust.latent import TransformSpec
+from pdclust.postproc import cluster_summary, expand_variables, min_hm_select, similarity
 from pdclust.sampler import PriorConstants
 from pdclust.schema import continuous_spec, nominal_spec, ordinal_spec
 
@@ -128,18 +133,25 @@ class TestDataCsv:
         assert ds.weights.tolist() == [2.0, 4.5]
 
 
+_DIGEST = bytes(range(32))
+
+
 def test_similarity_binary_round_trip(tmp_path):
     sim = np.random.default_rng(1).uniform(size=(7, 7))
     sim = 0.5 * (sim + sim.T)
     np.fill_diagonal(sim, 1.0)
     path = tmp_path / "sim.bin"
-    write_similarity_binary(path, sim)
+    write_similarity_binary(path, sim, _DIGEST)
     assert np.array_equal(read_similarity_binary(path), sim)
+    assert read_similarity_header(path) == (7, _DIGEST)
+    assert np.array_equal(read_similarity_binary(path, _DIGEST), sim)
+    with pytest.raises(DataFormatError, match="similarity matrix of other partitions"):
+        read_similarity_binary(path, bytes(32))
 
 
 def test_similarity_binary_rejects_a_truncated_size_field(tmp_path):
     path = tmp_path / "sim.bin"
-    path.write_bytes(b"PDCSIM1\x00\x02\x00")
+    path.write_bytes(b"PDCSIM2\x00\x02\x00")
     with pytest.raises(DataFormatError, match="truncated similarity matrix") as err:
         read_similarity_binary(path)
     assert str(path) in str(err.value)
@@ -148,7 +160,7 @@ def test_similarity_binary_rejects_a_truncated_size_field(tmp_path):
 @pytest.mark.parametrize("n", [2**20, 2**62])
 def test_similarity_binary_checks_a_huge_size_field_before_allocating(tmp_path, n):
     path = tmp_path / "sim.bin"
-    path.write_bytes(b"PDCSIM1\x00" + struct.pack("<Q", n))
+    path.write_bytes(b"PDCSIM2\x00" + struct.pack("<Q", n) + _DIGEST)
     with pytest.raises(DataFormatError, match="truncated similarity matrix") as err:
         read_similarity_binary(path)
     assert str(path) in str(err.value)
@@ -156,7 +168,7 @@ def test_similarity_binary_checks_a_huge_size_field_before_allocating(tmp_path, 
 
 def test_similarity_binary_rejects_a_trailing_byte(tmp_path):
     path = tmp_path / "sim.bin"
-    write_similarity_binary(path, np.eye(3))
+    write_similarity_binary(path, np.eye(3), _DIGEST)
     with open(path, "ab") as fh:
         fh.write(b"\x00")
     with pytest.raises(DataFormatError, match="trailing data after the 3 x 3") as err:
@@ -171,18 +183,26 @@ def test_rewrites_leave_no_trace_of_a_longer_file(tmp_path):
     assert path.read_text() == "record,cluster\n0,1\n"
     sim = np.eye(3)
     path = tmp_path / "sim.bin"
-    write_similarity_binary(path, np.eye(6))
-    write_similarity_binary(path, sim)
-    assert path.stat().st_size == 16 + 8 * 9
+    write_similarity_binary(path, np.eye(6), _DIGEST)
+    write_similarity_binary(path, sim, _DIGEST)
+    assert path.stat().st_size == 48 + 8 * 9
     assert np.array_equal(read_similarity_binary(path), sim)
 
 
 def test_similarity_binary_layout(tmp_path):
     sim = np.random.default_rng(2).uniform(size=(5, 5))
     path = tmp_path / "sim.bin"
-    write_similarity_binary(path, sim)
-    assert path.read_bytes() == (b"PDCSIM1\x00" + struct.pack("<Q", 5)
+    write_similarity_binary(path, sim, _DIGEST)
+    assert path.read_bytes() == (b"PDCSIM2\x00" + struct.pack("<Q", 5) + _DIGEST
                                  + sim.astype("<f8").tobytes())
+
+
+def test_partitions_digest_hashes_shape_and_int32_labels():
+    parts = np.array([[0, 1, 1], [0, 0, 1]])
+    expected = hashlib.sha256(struct.pack("<QQ", 2, 3)
+                              + parts.astype("<i4").tobytes()).digest()
+    assert partitions_digest(parts) == partitions_digest(parts.astype(np.int32)) == expected
+    assert partitions_digest(parts.reshape(3, 2)) != expected
 
 
 class TestConfig:
@@ -370,6 +390,21 @@ class TestRunCommand:
         assert err.value.code == EXIT_VALIDATION
 
 
+def _read_partitions(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int32, ndmin=2)
+
+
+def _move_first_record_to_a_new_cluster(path):
+    """Give record 0 of the first stored partition a label of its own; return
+    the edited partitions as the CLI parses them."""
+    header, first, *rest = path.read_text().splitlines()
+    labels = [int(x) for x in first.split(",")]
+    assert labels.count(labels[0]) > 1
+    labels[0] = max(labels) + 1
+    path.write_text("\n".join([header, ",".join(map(str, labels)), *rest]) + "\n")
+    return _read_partitions(path)
+
+
 class TestVerbs:
     def test_validate_verb_exit_codes(self, scenario_files):
         tmp, _, _ = scenario_files
@@ -542,6 +577,103 @@ class TestVerbs:
             path.write_text("\n".join([header, "x," + first.split(",", 1)[1], *rest]) + "\n")
         assert main(["summarize", "--run", str(tmp / "out")]) == EXIT_VALIDATION
         assert f"{path}: cannot read partitions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("similarity_csv", [False, True])
+    def test_summarize_reuses_the_stored_similarity(self, scenario_files, monkeypatch,
+                                                    similarity_csv):
+        tmp, _, _ = scenario_files
+        out = tmp / "out"
+        run_command(small_run_config(tmp, similarity_csv=similarity_csv))
+        names = ["selected.csv", "summary.csv", "similarity.bin"]
+        names += ["similarity.csv"] if similarity_csv else []
+        # the reference outputs come from a copy whose matrix must be computed
+        ref = tmp / "ref"
+        shutil.copytree(out, ref)
+        (ref / "similarity.bin").unlink()
+        expected = {}
+        for selection in ("dahl", "min-hm"):
+            summarize_command(str(ref), selection)
+            expected[selection] = {name: (ref / name).read_bytes() for name in names}
+
+        def fail(*args):
+            raise RuntimeError("similarity recomputed or rewritten")
+
+        monkeypatch.setattr(pdclust.postproc, "similarity", fail)
+        monkeypatch.setattr(pdclust.cli, "write_similarity_binary", fail)
+        for selection in ("dahl", "min-hm"):
+            assert main(["summarize", "--run", str(out), "--selection", selection]) == EXIT_OK
+            assert {name: (out / name).read_bytes() for name in names} == expected[selection]
+
+    def test_summarize_recomputes_the_similarity_of_edited_partitions(self, scenario_files):
+        tmp, _, _ = scenario_files
+        out = tmp / "out"
+        run_command(small_run_config(tmp))
+        before = read_similarity_binary(out / "similarity.bin")
+        parsed = _move_first_record_to_a_new_cluster(out / "partitions.csv")
+        for selection in ("min-hm", "dahl"):
+            summarize_command(str(out), selection)
+            sim = read_similarity_binary(out / "similarity.bin")
+            assert np.array_equal(sim, similarity(parsed))
+        assert not np.array_equal(sim, before)
+
+    @pytest.mark.parametrize("selection", ["dahl", "min-hm"])
+    @pytest.mark.parametrize("damage", ["bad-magic", "truncated", "PDCSIM1", "wrong-n"])
+    def test_summarize_rewrites_a_stored_similarity_it_cannot_use(self, scenario_files,
+                                                                  damage, selection):
+        tmp, ds, _ = scenario_files
+        out = tmp / "out"
+        run_command(small_run_config(tmp))
+        path = out / "similarity.bin"
+        good = path.read_bytes()
+        if damage == "bad-magic":
+            path.write_bytes(b"X" + good[1:])
+        elif damage == "truncated":
+            path.write_bytes(good[:-8])
+        elif damage == "PDCSIM1":  # the layout before the header held a digest
+            path.write_bytes(b"PDCSIM1\x00" + good[8:16] + good[48:])
+        else:
+            write_similarity_binary(path, np.eye(ds.n - 1), good[16:48])
+        assert main(["summarize", "--run", str(out), "--selection", selection]) == EXIT_OK
+        assert path.read_bytes() == good
+
+    def test_summarize_recomputes_only_the_edited_chain(self, scenario_files, monkeypatch):
+        tmp, _, _ = scenario_files
+        out = tmp / "out"
+        run_command(small_run_config(tmp, chains=2))
+        chain0 = (out / "similarity_chain0.bin").read_bytes()
+        parsed = _move_first_record_to_a_new_cluster(out / "partitions_chain1.csv")
+        computed = []
+
+        def spy(partitions):
+            computed.append(partitions.copy())
+            return similarity(partitions)
+
+        monkeypatch.setattr(pdclust.postproc, "similarity", spy)
+        summarize_command(str(out), "dahl")
+        assert len(computed) == 1 and np.array_equal(computed[0], parsed)
+        assert (out / "similarity_chain0.bin").read_bytes() == chain0
+        assert np.array_equal(read_similarity_binary(out / "similarity_chain1.bin"),
+                              similarity(parsed))
+
+    def test_summarize_reselects_the_pooled_partitions(self, scenario_files):
+        tmp, _, _ = scenario_files
+        out = tmp / "out"
+        run_command(small_run_config(tmp, chains=2, pool=True))
+        result = summarize_command(str(out), selection="min-hm")
+        stacked = np.vstack([_read_partitions(out / f"partitions_chain{c}.csv")
+                             for c in (0, 1)])
+        dataset, schema = _load_inputs(tmp / "data.csv", tmp / "schema.txt")
+        expected, score = min_hm_select(stacked, expand_variables(dataset, schema),
+                                        dataset.weights)
+        selected = np.loadtxt(out / "selected_pooled.csv", delimiter=",", skiprows=1,
+                              dtype=np.int64)[:, 1]
+        assert result["pooled"]["selection"] == "min-hm"
+        assert result["pooled"]["selection_score"] == score
+        assert np.array_equal(selected, expected)
+        assert (out / "summary_pooled.csv").read_text().splitlines() == \
+            cluster_summary(expected, dataset, schema).to_lines()
+        assert read_similarity_header(out / "similarity_pooled.bin") == \
+            (dataset.n, partitions_digest(stacked))
 
     def test_dataset_round_trip_through_cli_formats(self, tmp_path):
         ds, _ = gen_study1(ScenarioSpec("III", seed=11))
