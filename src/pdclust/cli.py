@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, postproc
 from .dataio import (DataFormatError, partitions_digest, read_data_csv, read_schema_file,
-                     read_similarity_binary, read_similarity_header, write_data_csv,
-                     write_schema_file, write_similarity_binary, write_text_output)
+                     read_similarity_binary, write_data_csv, write_schema_file,
+                     write_similarity_binary, write_text_output)
 from .latent import fit_transforms
 from .postproc import (cluster_summary, dahl_select, expand_variables, hm_measure,
                        min_hm_select)
@@ -241,27 +241,21 @@ def _select_partition(selection, partitions, sim, expanded, weights):
     return min_hm_select(partitions, expanded, weights)
 
 
-def similarity(partitions, path: Path | None = None, load: bool = True) -> np.ndarray | None:
+def similarity(partitions, path: Path | None = None) -> np.ndarray:
     """The posterior similarity matrix of ``partitions``, kept at ``path``.
 
-    A matrix stored at ``path`` is reused when its header records the n and
-    the :func:`~pdclust.dataio.partitions_digest` of these partitions. Any
-    other outcome is a miss: no file, another digest or n, or a file that
-    cannot be read as a matrix. On a miss the matrix is computed and written
-    to ``path`` with its digest. A hit with ``load`` off reads only the
-    header and returns None. Without a ``path`` the matrix is only computed.
+    A matrix stored at ``path`` is reused when its header records the
+    :func:`~pdclust.dataio.partitions_digest` of these partitions, which
+    covers their shape as well as their labels. Any other outcome is a miss:
+    no file, another digest, or a file that cannot be read as a matrix. On a
+    miss the matrix is computed and written to ``path`` with its digest.
+    Without a ``path`` the matrix is only computed.
     """
     if path is None:
         return postproc.similarity(partitions)
-    n = partitions.shape[1]
     digest = partitions_digest(partitions)
     try:
-        if load:
-            sim = read_similarity_binary(path, digest)
-            if sim.shape[0] == n:
-                return sim
-        elif read_similarity_header(path) == (n, digest):
-            return None
+        return read_similarity_binary(path, digest)
     except (OSError, DataFormatError):
         pass
     sim = postproc.similarity(partitions)
@@ -297,7 +291,7 @@ def _emit_selection_outputs(outdir: Path, tag: str, selection: str, similarity_c
                             partitions, dataset, schema):
     files = {}
     path = outdir / f"similarity{tag}.bin"
-    sim = similarity(partitions, path, load=selection == "dahl" or similarity_csv)
+    sim = similarity(partitions, path)
     files["similarity"] = path.name
     if similarity_csv:
         path = outdir / f"similarity{tag}.csv"

@@ -24,6 +24,9 @@ import numpy as np
 from .latent import IDENTITY, LOG_SHIFT, TransformSpec
 from .schema import CONTINUOUS, Dataset, NOMINAL, ORDINAL, VariableSpec
 
+#: The similarity file layout, and the version of the matrix it holds: the CLI
+#: reuses a stored matrix whose digest matches, so any change to the bits
+#: ``postproc.similarity`` returns must bump this tag as well.
 _SIMILARITY_MAGIC = b"PDCSIM2\x00"
 _DIGEST_SIZE = 32
 
@@ -215,41 +218,20 @@ def partitions_digest(partitions) -> bytes:
 
 def write_similarity_binary(path, sim: np.ndarray, digest: bytes):
     """Dense row-major float64 dump preceded by a magic tag, n and the
-    :func:`partitions_digest` of the partitions the matrix was computed from."""
+    :func:`partitions_digest` of the partitions the matrix was computed from.
+
+    The digest is written last, over a zeroed field, so a rewrite that stops
+    part way leaves a file that matches no partitions.
+    """
     sim = np.ascontiguousarray(sim, dtype="<f8")
     with _open_output(path) as fh:
         fh.write(_SIMILARITY_MAGIC)
         fh.write(struct.pack("<Q", sim.shape[0]))
-        fh.write(digest)
+        fh.write(bytes(_DIGEST_SIZE))
         sim.tofile(fh)
         fh.truncate()
-
-
-def _read_similarity_header(fh, path) -> tuple[int, bytes]:
-    """Read the header at ``fh``'s start; check that the body holds n x n entries."""
-    magic = fh.read(len(_SIMILARITY_MAGIC))
-    if magic != _SIMILARITY_MAGIC:
-        raise DataFormatError(f"{path}: not a similarity matrix file")
-    header = fh.read(8 + _DIGEST_SIZE)
-    if len(header) != 8 + _DIGEST_SIZE:
-        raise DataFormatError(f"{path}: truncated similarity matrix")
-    (n,) = struct.unpack("<Q", header[:8])
-    body = os.fstat(fh.fileno()).st_size - fh.tell()
-    if body < 8 * n * n:
-        raise DataFormatError(f"{path}: truncated similarity matrix")
-    if body > 8 * n * n:
-        raise DataFormatError(f"{path}: trailing data after the {n} x {n} "
-                              "similarity matrix")
-    return n, header[8:]
-
-
-def read_similarity_header(path) -> tuple[int, bytes]:
-    """The n and partition digest of a file written by :func:`write_similarity_binary`.
-
-    Reads only the header, and checks that the body holds exactly n x n entries.
-    """
-    with open(path, "rb") as fh:
-        return _read_similarity_header(fh, path)
+        fh.seek(len(_SIMILARITY_MAGIC) + 8)
+        fh.write(digest)
 
 
 def read_similarity_binary(path, digest: bytes | None = None) -> np.ndarray:
@@ -261,8 +243,20 @@ def read_similarity_binary(path, digest: bytes | None = None) -> np.ndarray:
     body is read.
     """
     with open(path, "rb") as fh:
-        n, stored = _read_similarity_header(fh, path)
-        if digest is not None and stored != digest:
+        magic = fh.read(len(_SIMILARITY_MAGIC))
+        if magic != _SIMILARITY_MAGIC:
+            raise DataFormatError(f"{path}: not a similarity matrix file")
+        header = fh.read(8 + _DIGEST_SIZE)
+        if len(header) != 8 + _DIGEST_SIZE:
+            raise DataFormatError(f"{path}: truncated similarity matrix")
+        (n,) = struct.unpack("<Q", header[:8])
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body < 8 * n * n:
+            raise DataFormatError(f"{path}: truncated similarity matrix")
+        if body > 8 * n * n:
+            raise DataFormatError(f"{path}: trailing data after the {n} x {n} "
+                                  "similarity matrix")
+        if digest is not None and header[8:] != digest:
             raise DataFormatError(f"{path}: similarity matrix of other partitions")
         data = np.fromfile(fh, dtype="<f8", count=n * n)
     if data.size != n * n:  # the file shrank while it was read

@@ -10,13 +10,13 @@ import pytest
 from pdclust import (Dataset, ScenarioSpec, build_schema, gen_study1,
                      scenario_variable_specs)
 import pdclust.cli
+import pdclust.dataio
 import pdclust.postproc
 from pdclust.cli import (CliError, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, PRESETS,
                          bench_command, main, resolve_var_scale, run_command,
                          summarize_command, _build_run_config, _load_inputs, _read_config)
 from pdclust.dataio import (DataFormatError, partitions_digest, read_data_csv,
-                            read_schema_file, read_similarity_binary,
-                            read_similarity_header, write_data_csv,
+                            read_schema_file, read_similarity_binary, write_data_csv,
                             write_schema_file, write_similarity_binary,
                             write_text_output)
 from pdclust.latent import TransformSpec
@@ -143,7 +143,6 @@ def test_similarity_binary_round_trip(tmp_path):
     path = tmp_path / "sim.bin"
     write_similarity_binary(path, sim, _DIGEST)
     assert np.array_equal(read_similarity_binary(path), sim)
-    assert read_similarity_header(path) == (7, _DIGEST)
     assert np.array_equal(read_similarity_binary(path, _DIGEST), sim)
     with pytest.raises(DataFormatError, match="similarity matrix of other partitions"):
         read_similarity_binary(path, bytes(32))
@@ -195,6 +194,31 @@ def test_similarity_binary_layout(tmp_path):
     write_similarity_binary(path, sim, _DIGEST)
     assert path.read_bytes() == (b"PDCSIM2\x00" + struct.pack("<Q", 5) + _DIGEST
                                  + sim.astype("<f8").tobytes())
+
+
+def test_an_interrupted_similarity_rewrite_matches_no_partitions(tmp_path, monkeypatch):
+    path = tmp_path / "sim.bin"
+    old, new = np.eye(4), np.full((4, 4), 0.5)
+    old_digest, new_digest = bytes(range(32)), bytes(range(1, 33))
+    write_similarity_binary(path, old, old_digest)
+
+    class Interrupted:
+        """Writes half of the body, then stops as a Ctrl-C would."""
+        shape = new.shape
+
+        def tofile(self, fh):
+            fh.write(new.tobytes()[:new.nbytes // 2])
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(pdclust.dataio.np, "ascontiguousarray", lambda sim, dtype: Interrupted())
+    with pytest.raises(KeyboardInterrupt):
+        write_similarity_binary(path, new, new_digest)
+    monkeypatch.undo()
+    # the file keeps its size and holds half of each body, under neither digest
+    assert path.stat().st_size == 48 + old.nbytes
+    for digest in (old_digest, new_digest):
+        with pytest.raises(DataFormatError, match="similarity matrix of other partitions"):
+            read_similarity_binary(path, digest)
 
 
 def test_partitions_digest_hashes_shape_and_int32_labels():
@@ -617,7 +641,8 @@ class TestVerbs:
         assert not np.array_equal(sim, before)
 
     @pytest.mark.parametrize("selection", ["dahl", "min-hm"])
-    @pytest.mark.parametrize("damage", ["bad-magic", "truncated", "PDCSIM1", "wrong-n"])
+    @pytest.mark.parametrize("damage", ["bad-magic", "truncated", "PDCSIM1", "wrong-n",
+                                        "interrupted"])
     def test_summarize_rewrites_a_stored_similarity_it_cannot_use(self, scenario_files,
                                                                   damage, selection):
         tmp, ds, _ = scenario_files
@@ -631,8 +656,11 @@ class TestVerbs:
             path.write_bytes(good[:-8])
         elif damage == "PDCSIM1":  # the layout before the header held a digest
             path.write_bytes(b"PDCSIM1\x00" + good[8:16] + good[48:])
-        else:
-            write_similarity_binary(path, np.eye(ds.n - 1), good[16:48])
+        elif damage == "interrupted":  # a rewrite stopped before its digest
+            path.write_bytes(good[:16] + bytes(32) + good[48:])
+        else:  # the matrix of partitions over one record fewer
+            parts = _read_partitions(out / "partitions.csv")[:, 1:]
+            write_similarity_binary(path, similarity(parts), partitions_digest(parts))
         assert main(["summarize", "--run", str(out), "--selection", selection]) == EXIT_OK
         assert path.read_bytes() == good
 
@@ -672,8 +700,9 @@ class TestVerbs:
         assert np.array_equal(selected, expected)
         assert (out / "summary_pooled.csv").read_text().splitlines() == \
             cluster_summary(expected, dataset, schema).to_lines()
-        assert read_similarity_header(out / "similarity_pooled.bin") == \
-            (dataset.n, partitions_digest(stacked))
+        assert np.array_equal(read_similarity_binary(out / "similarity_pooled.bin",
+                                                     partitions_digest(stacked)),
+                              similarity(stacked))
 
     def test_dataset_round_trip_through_cli_formats(self, tmp_path):
         ds, _ = gen_study1(ScenarioSpec("III", seed=11))
