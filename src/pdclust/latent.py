@@ -50,23 +50,30 @@ class TransformSpec:
         return self.kind == IDENTITY or self.shift is not None
 
     def fit(self, values) -> "TransformSpec":
-        """Realise the shift from a data column (no-op for identity)."""
+        """Realise the shift from a data column (no-op for identity).
+
+        :meth:`apply` raises on the values the shift cannot map, and
+        :func:`~pdclust.schema.validate_dataset` names their records.
+        """
         if self.kind == IDENTITY:
             return self
         shift = float(np.quantile(np.asarray(values, dtype=float), self.shift_quantile))
-        fitted = replace(self, shift=shift)
-        fitted.apply(values)  # fail fast if the shift cannot make y + shift > 0
-        return fitted
+        return replace(self, shift=shift)
+
+    def unmapped(self, y) -> np.ndarray:
+        """Mask of the values the fitted transform cannot map, those with y + shift <= 0."""
+        if self.kind == IDENTITY:
+            return np.zeros(np.shape(y), dtype=bool)
+        if self.shift is None:
+            raise ValueError("log-shift transform used before fitting")
+        return np.asarray(y, dtype=float) + self.shift <= 0
 
     def apply(self, y):
         if self.kind == IDENTITY:
             return np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-        if self.shift is None:
-            raise ValueError("log-shift transform used before fitting")
-        arg = np.asarray(y, dtype=float) + self.shift
-        if np.any(arg <= 0):
+        if np.any(self.unmapped(y)):
             raise ValueError("log-shift argument must be positive for all records")
-        out = np.log(arg)
+        out = np.log(np.asarray(y, dtype=float) + self.shift)
         return out if np.ndim(y) else float(out)
 
 

@@ -133,6 +133,13 @@ def _location_posterior(sigma_inv, base_var, prec_scale, zsum):
     return nu, V
 
 
+def _draw_location(z_members, w_members, sigma_inv, base_var, var_scale, rng):
+    """A cluster location drawn from its posterior given its members' latents and weights."""
+    zsum = (z_members * w_members[:, None]).sum(axis=0) / var_scale
+    nu, V = _location_posterior(sigma_inv, base_var, w_members.sum() / var_scale, zsum)
+    return nu + np.linalg.cholesky(V) @ rng.standard_normal(z_members.shape[1])
+
+
 def urn_sweep_terms(z, pis, var_scale, cov, base_var):
     """Per-record terms of the urn weights, for all records at once.
 
@@ -206,12 +213,12 @@ class UrnTables:
     record moves, a cluster is born or a cluster dies.
 
     Generator order: record i's uniform is the next one after those of the
-    records before it, exactly as if each record drew its own. Between two
-    records step (a) draws nothing but these uniforms, so the uniforms that
-    a dropped block drew ahead are kept for the records after it, and no
-    block reaches past record n - 1. Only a birth's location draw and the
-    raise of a non-finite record come between, and each first hands the
-    uniforms drawn ahead back with :meth:`hand_back`.
+    records before it, exactly as if each record drew its own. The first
+    record that draws after the tables are built, or after a
+    :meth:`hand_back`, draws the uniforms of itself and of every later record
+    at once, and a block reads its own as a slice. Only a birth's location
+    draw and the raise of a non-finite record come between two records'
+    uniforms, and each first rewinds the generator with :meth:`hand_back`.
 
     The quadratic forms use the same stacked matmul, product, sum and
     division as a per-record computation would. With OpenBLAS they equal it
@@ -226,7 +233,7 @@ class UrnTables:
     def __init__(self, z, pis, var_scale, cov, base_var, hyper, mus):
         n = z.shape[0]
         self.z = z
-        self.pis = pis
+        self.inv_pis = 1.0 / np.asarray(pis, dtype=float)
         self.var_scale = var_scale
         self.base_var = base_var
         self.c = var_scale * np.asarray(pis, dtype=float)
@@ -240,7 +247,10 @@ class UrnTables:
         self.half_quad = np.hstack([np.zeros((n, 1)), self._half_quad(mus)])
         self.stay = [False] * n
         self._size_for(len(mus))
-        self._start_stream()
+        self._rows = range(0)
+        self._state = None  # generator state before the uniform of record _first
+        self._first = 0
+        self._u = None      # the uniforms of records _first to n - 1
 
     def _half_quad(self, mus):
         """(n, len(mus)) half quadratic forms, one stacked matmul per record."""
@@ -280,30 +290,16 @@ class UrnTables:
     def birth(self, i: int, mixture: MixtureState, rng):
         """Open a new cluster for detached record ``i`` at a location drawn from its posterior."""
         self.hand_back(i + 1, rng)
-        z_i = self.z[i]
-        w_i = 1.0 / self.pis[i]
-        nu, V = _location_posterior(self.sigma_inv, self.base_var, w_i / self.var_scale,
-                                    (z_i * w_i) / self.var_scale)
-        mu_new = nu + np.linalg.cholesky(V) @ rng.standard_normal(z_i.shape[0])
+        mu_new = _draw_location(self.z[i:i + 1], self.inv_pis[i:i + 1], self.sigma_inv,
+                                self.base_var, self.var_scale, rng)
         mixture.labels[i] = mixture.add_cluster(mu_new)
         self.half_quad = np.hstack([self.half_quad, self._half_quad(mu_new[None, :])])
 
     def forget_rows(self):
-        """Drop the block and its stay flags.
-
-        The block's first record is kept, so that the uniforms the block
-        drew ahead still go to the records after it.
-        """
+        """Drop the block and its stay flags."""
         rows = self._rows
         self.stay[rows.start:rows.stop] = [False] * len(rows)
-        self._rows = range(rows.start, rows.start)
-
-    def _start_stream(self):
-        """Begin a new stream of uniforms at the next record that draws one."""
         self._rows = range(0)
-        self._state = None        # generator state at the start of the stream
-        self._used = 0            # uniforms of the stream before the block's first record
-        self._drawn = np.empty(0)  # uniforms drawn from the block's first record on
 
     def hand_back(self, i: int, rng):
         """Give the uniforms drawn for record ``i`` and the records after it back to ``rng``.
@@ -313,23 +309,18 @@ class UrnTables:
         next record that draws gets the generator's next uniform.
         """
         self.forget_rows()
-        if self._state is not None and i - self._rows.start < self._drawn.size:
+        if self._state is not None:
             rng.bit_generator.state = self._state
-            rng.random(self._used + i - self._rows.start)
-        self._start_stream()
+            rng.random(i - self._first)
+            self._state = None
 
     def _uniforms(self, start: int, k: int, rng):
-        """The uniforms of records ``start`` to ``start + k - 1``, drawing what is missing."""
+        """The uniforms of records ``start`` to ``start + k - 1``."""
         if self._state is None:
             self._state = rng.bit_generator.state
-        else:
-            skip = start - self._rows.start
-            self._used += skip
-            self._drawn = self._drawn[skip:]
-        if self._drawn.size < k:
-            fresh = rng.random(k - self._drawn.size)
-            self._drawn = np.concatenate((self._drawn, fresh)) if self._drawn.size else fresh
-        return self._drawn[:k]
+            self._first = start
+            self._u = rng.random(self.z.shape[0] - start)
+        return self._u[start - self._first:start - self._first + k]
 
     def _weigh(self, start: int, mixture: MixtureState, rng):
         """Weigh and decide the block of records that begins at ``start``.
@@ -422,13 +413,10 @@ def update_mu_i(i, mixture, rng, tables):
 def update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng):
     """Refresh every cluster location from its Gaussian posterior (conditional (b))."""
     inv_pis = 1.0 / np.asarray(pis, dtype=float)
-    q = latents.z.shape[1]
     for j in range(mixture.r):
         members = np.flatnonzero(mixture.labels == j)
-        w = inv_pis[members]
-        zsum = (latents.z[members] * w[:, None]).sum(axis=0) / var_scale
-        nu, V = _location_posterior(cov.sigma_inv, base.base_var, w.sum() / var_scale, zsum)
-        mixture.mus[j] = nu + np.linalg.cholesky(V) @ rng.standard_normal(q)
+        mixture.mus[j] = _draw_location(latents.z[members], inv_pis[members], cov.sigma_inv,
+                                        base.base_var, var_scale, rng)
     return mixture
 
 

@@ -323,7 +323,7 @@ class ValidationReport:
 
 
 def validate_dataset(ds: Dataset, schema: Schema) -> ValidationReport:
-    """Check every record against the schema's range and weight constraints."""
+    """Check every record against the schema's range, transform and weight constraints."""
     errors: list[tuple[int, str, str]] = []
     if ds.p != schema.p:
         errors.append((-1, "<dataset>", f"expected {schema.p} columns, got {ds.p}"))
@@ -340,8 +340,15 @@ def validate_dataset(ds: Dataset, schema: Schema) -> ValidationReport:
     for k, v in enumerate(schema.variables):
         col = ds.values[:, schema.input_index[k]]
         if v.kind == CONTINUOUS:
-            for i in np.flatnonzero(~np.isfinite(col)):
+            finite = np.isfinite(col)
+            for i in np.flatnonzero(~finite):
                 errors.append((int(i), v.name, "non-finite value"))
+            if v.transform is not None and finite.all():
+                # the transform as a run fits it on this column
+                spec = v.transform if v.transform.fitted else v.transform.fit(col)
+                for i in np.flatnonzero(spec.unmapped(col)):
+                    errors.append((int(i), v.name, f"log-shift argument {float(col[i])!r} + "
+                                                   f"{spec.shift!r} is not positive"))
             continue
         not_int = np.abs(col - np.round(col)) > 1e-9
         out_of_range = (col < 0) | (col > v.n_levels - 1)

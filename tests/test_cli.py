@@ -404,6 +404,21 @@ class TestRunCommand:
         assert (tmp / "mc" / "similarity_pooled.bin").exists()
         assert manifest["chain_seeds"][0] != manifest["chain_seeds"][1]
 
+    def test_two_workers_write_what_one_writes(self, scenario_files):
+        tmp, _, _ = scenario_files
+        for workers in ("1", "2"):
+            assert main(["run", "--data", str(tmp / "data.csv"), "--schema",
+                         str(tmp / "schema.txt"), "--out", str(tmp / f"w{workers}"),
+                         "--iterations", "30", "--burnin", "6", "--weight-mode", "ignore",
+                         "--var-scale", "1", "--chains", "2", "--pool",
+                         "--workers", workers]) == EXIT_OK
+        names = sorted(path.name for path in (tmp / "w1").iterdir())
+        assert names == sorted(path.name for path in (tmp / "w2").iterdir())
+        assert "similarity_pooled.bin" in names
+        for name in names:
+            if name != "manifest.json":
+                assert (tmp / "w1" / name).read_bytes() == (tmp / "w2" / name).read_bytes(), name
+
     def test_validation_failure_exit_code(self, tmp_path):
         specs = [ordinal_spec("b", 2)]
         ds = Dataset.from_values([[0.0], [5.0]])
@@ -443,6 +458,25 @@ class TestVerbs:
                      "--schema", str(tmp_path / "schema.txt")])
         assert code == EXIT_VALIDATION
         assert "b" in capsys.readouterr().out
+
+    def test_validate_and_run_reject_values_a_log_shift_cannot_map(self, tmp_path, capsys):
+        # the fitted shift of normal(0, 3) values, their 1 % quantile, is negative
+        specs = [continuous_spec("income", TransformSpec(kind="log-shift"))]
+        income = np.random.default_rng(4).normal(0.0, 3.0, (40, 1))
+        write_data_csv(tmp_path / "data.csv", Dataset.from_values(income), specs)
+        write_schema_file(tmp_path / "schema.txt", specs)
+        unmapped = np.sum(income + np.quantile(income, 0.01) <= 0)
+        assert 0 < unmapped < 40
+        files = ["--data", str(tmp_path / "data.csv"), "--schema", str(tmp_path / "schema.txt")]
+        assert main(["validate", *files]) == EXIT_VALIDATION
+        report = capsys.readouterr().out
+        assert report.startswith(f"{unmapped} problem(s) found:")
+        assert report.count("income: log-shift argument") == unmapped
+        code = main(["run", *files, "--out", str(tmp_path / "out"), "--iterations", "20",
+                     "--burnin", "4"])
+        assert code == EXIT_VALIDATION
+        assert report.strip() in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_errors_exit_one(self, capsys):
         assert main(["run", "--no-such-flag"]) == EXIT_USAGE

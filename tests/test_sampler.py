@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -126,23 +127,20 @@ def test_urn_sweep_terms_match_scipy_densities():
 
 class TestLocationPosterior:
     def test_singleton_matches_new_cluster_draw(self):
+        # a birth's location is step (b)'s draw for a cluster of that one record
+        latents, mixture, cov, base, hyper, _ = tiny_states(n=1, q=3, seed=5)
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((3, 3))
-        sigma = a @ a.T + 2 * np.eye(3)
-        sigma_inv = np.linalg.inv(sigma)
-        base_var = rng.uniform(0.5, 3.0, 3)
-        z_i = rng.standard_normal(3)
-        pi_i, var_scale = 0.7, 1.4
-        w = 1.0 / pi_i
-        nu_a, v_a = _location_posterior(sigma_inv, base_var, w / var_scale,
-                                        (z_i * w) / var_scale)
-        # cluster update with a single member, same sufficient statistics
-        w_arr = np.array([w])
-        zsum = (z_i[None, :] * w_arr[:, None]).sum(axis=0) / var_scale
-        nu_b, v_b = _location_posterior(sigma_inv, base_var, w_arr.sum() / var_scale,
-                                        zsum)
-        assert np.allclose(nu_a, nu_b, rtol=0, atol=1e-12)
-        assert np.allclose(v_a, v_b, rtol=0, atol=1e-12)
+        corr = np.array([[1.0, 0.4, -0.2], [0.4, 1.0, 0.3], [-0.2, 0.3, 1.0]])
+        cov = CovarianceState(rng.uniform(0.5, 2.0, 3), corr, cov.free, priors=PRIOR_C)
+        base.base_var = rng.uniform(0.5, 3.0, 3)
+        pis, var_scale = np.array([0.7]), 1.4
+        tables = UrnTables(latents.z, pis, var_scale, cov, base.base_var, hyper, mixture.mus)
+        tables.detach(0, mixture)
+        tables.birth(0, mixture, np.random.default_rng(9))
+        step_b = MixtureState(np.zeros(1, dtype=np.int64), np.zeros((1, 3)),
+                              np.ones(1, dtype=np.int64))
+        update_unique_mus(latents, step_b, cov, base, var_scale, pis, np.random.default_rng(9))
+        assert np.array_equal(mixture.mus, step_b.mus)
 
     def test_flat_base_limit_gives_weighted_mean(self):
         rng = np.random.default_rng(6)
@@ -159,6 +157,37 @@ class TestLocationPosterior:
         nu, v = _location_posterior(np.eye(2), np.array([2.0, 4.0]), 5.0,
                                     np.zeros(2))
         assert np.allclose(v, np.diag([1 / 5.5, 1 / 5.25]))
+
+
+#: SHA-256 of the kept partitions and the five traces, hashed in the order
+#: of ``bench/harness.fingerprint``, of a 40-sweep chain per scenario: data
+#: seed 1, chain seed 7, burn-in 10, preset C. Each chain reaches two or more
+#: clusters, so births and deaths are exercised. Any change to the sampler's
+#: arithmetic or to the order of its draws changes them; a change that means
+#: to alter the trajectory says so and records new hashes. Recorded with
+#: numpy 2.4 and OpenBLAS on x86-64, where another BLAS may round otherwise.
+SHORT_CHAIN_HASHES = {
+    "I": "fe68a43f8da7a6adc29c85402ad41f697b5c759bdf8019f9518275de6efc5cc8",
+    "II": "4c6bffe7a90d6e2e56ebc37ee7bf45949831b3e2287ab97829cf616a987b91f4",
+    "III": "f94de68d84dacdeefee699e39cd13f8a277399c24d16d049895247ba1cfbbed8",
+    "IV": "667af998f1754e4508382b9a17fff2db094b9a27347a1382290ef33d0f0d0df2",
+    "V": "e9e5ff36e5963439183373823b6208a397185a74f853b452a2016168d3dae3b9",
+    "VI": "7c62d3cbdf0c3cd025879103f95a4176e688687d25cdaa5cd0c0d0892669692c",
+}
+
+
+@pytest.mark.parametrize("scenario", SHORT_CHAIN_HASHES)
+def test_short_chains_stay_bit_identical(scenario):
+    dataset, _ = (gen_study1 if scenario in STUDY1 else gen_study2)(ScenarioSpec(scenario, seed=1))
+    weight_mode, var_scale = scenario_sampler_settings(scenario, dataset.wbar)
+    out = run_chain(dataset, build_schema(scenario_variable_specs(scenario)),
+                    SamplerConfig(iterations=40, burnin=10, seed=7, weight_mode=weight_mode,
+                                  var_scale=var_scale, priors=PRIOR_C))
+    digest = hashlib.sha256()
+    for array in (out.partitions, out.trace_discount, out.trace_strength, out.trace_r,
+                  out.trace_var, out.trace_base_var):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == SHORT_CHAIN_HASHES[scenario]
 
 
 class TestSweepAndChain:
@@ -636,6 +665,34 @@ def test_urn_passes_match_reference_on_random_partitions():
             assert any(row == URN_BLOCK - 1 and moved and not alone
                        for row, alone, moved, _ in turns)
             assert any(row > 0 and alone for row, alone, _, _ in turns)
+
+
+class CountingGenerator:
+    """A generator that counts its ``random`` calls and passes everything else on."""
+
+    def __init__(self, rng):
+        self.rng, self.random_calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_a_pass_without_births_draws_its_uniforms_in_one_call():
+    latents, cov, base, hyper, pis, labels, mus = separated_partition(
+        0, movers=(0, URN_BLOCK))
+    mixture = MixtureState(labels.copy(), mus.copy(), np.bincount(labels))
+    tables = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, mixture.mus)
+    rng = CountingGenerator(np.random.default_rng(0))
+    for i in range(labels.size):
+        update_mu_i(i, mixture, rng, tables)
+    # both movers left their block, and no record opened a cluster
+    assert mixture.labels[0] != labels[0] and mixture.labels[URN_BLOCK] != labels[URN_BLOCK]
+    assert mixture.r == len(mus)
+    assert rng.random_calls == 1
 
 
 def test_non_finite_row_raises_at_its_turn_inside_a_block():
