@@ -140,8 +140,6 @@ def resolve_var_scale(rule, wbar: float) -> float:
                 value = wbar
             elif text.endswith("*wbar"):
                 value = float(text[: -len("*wbar")]) * wbar
-            elif text.startswith("wbar*"):
-                value = float(text[len("wbar*"):]) * wbar
             elif text.startswith("wbar/"):
                 value = wbar / float(text[len("wbar/"):])
             else:
@@ -501,6 +499,28 @@ def summarize_command(run_dir: str, selection: str | None = None) -> dict:
     return result
 
 
+def _record_summary(run_dir: str, result: dict) -> list[str]:
+    """Merge a :func:`summarize_command` result into the run's ``manifest.json``.
+
+    Each chain's entry, and the pooled one, takes the new selection, score,
+    HM, cluster count and files; the config, seeds and run times stay.
+    Returns one line per chain and one for the pooled partitions.
+    """
+    path = Path(run_dir) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    entries = [(f"chain {c}", info, new)
+               for c, (info, new) in enumerate(zip(manifest["chains"], result["chains"]))]
+    if "pooled" in result:
+        entries.append(("pooled", manifest["pooled"], result["pooled"]))
+    lines = []
+    for name, info, new in entries:
+        info.update(new, files={**info["files"], **new["files"]})
+        lines.append(f"{name}: {new['selection']} partition with {new['n_clusters']} "
+                     f"clusters, score {new['selection_score']:.6g}, HM {new['hm']:.6g}")
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    return lines
+
+
 def validate_command(data_path: str, schema_path: str) -> int:
     dataset, schema = _load_inputs(data_path, schema_path)
     report = validate_dataset(dataset, schema)
@@ -586,7 +606,8 @@ def main(argv=None) -> int:
             bench_command(args.scenario, preset, args.seed, args.out, overrides)
             return EXIT_OK
         if args.verb == "summarize":
-            summarize_command(args.run_dir, args.selection)
+            result = summarize_command(args.run_dir, args.selection)
+            print("\n".join(_record_summary(args.run_dir, result)))
             return EXIT_OK
         if args.verb == "validate":
             return validate_command(args.data, args.schema)

@@ -176,32 +176,37 @@ URN_BLOCK = 32
 class UrnTables:
     """Everything step (a) reads and changes, for one sweep.
 
-    - ``log_new`` and ``log_const``: the :func:`urn_sweep_terms` of every
-      record.
+    - ``log_const``: the :func:`urn_sweep_terms` constant of every record.
     - ``log_join[k] = log(k - discount)`` and
       ``log_open[k] = log(strength + discount * k)`` for k = 1..n, the urn's
       log weights of joining a cluster of k records and of opening a new
-      cluster beside k others. Slot 0 holds NaN, so that no log of a
-      non-positive number is taken; only the block row of a record alone in
-      its cluster reads it, and that row is never drawn from.
-    - ``half_quad[i, j + 1]``: half the quadratic form of z_i about location
-      j under the kernel c_i sigma, ``((z_i - mu_j) sigma^-1 (z_i - mu_j)') /
-      (2 c_i)``, one column per cluster in the order of ``mixture.mus``.
-      Column 0 holds zeros, so that the columns line up with a block row.
+      cluster beside k others. ``log_join[0]`` is -inf, the zero weight a
+      record alone in its cluster gives that cluster, which dies if the
+      record leaves it. ``log_open[0]`` is NaN and never read: only the
+      record of a one-record data set would open a cluster beside no other,
+      and it is not weighed.
+    - ``log_kernel[i]``: record i's own term of each entry of its block row.
+      Column 0 holds the new-cluster marginal of :func:`urn_sweep_terms`,
+      and column j + 1 holds ``log_const[i]`` minus half the quadratic form
+      of z_i about location j under the kernel c_i sigma,
+      ``((z_i - mu_j) sigma^-1 (z_i - mu_j)') / (2 c_i)``, one column per
+      cluster in the order of ``mixture.mus``.
     - ``stay[i]``: True when record i's choice is already known to leave it
       in its own cluster.
 
     The records must be updated in order, 0 to n - 1, each once. A block of
     up to :data:`URN_BLOCK` consecutive records is weighed and decided at
-    once (:meth:`choose`): each row holds the normalised cumulative urn
+    once (:meth:`choose`): each row holds the unnormalised cumulative urn
     weights of one record, computed from the current counts with that
-    record counted out of its own cluster, and the block draws one uniform
-    per record with ``rng.random(k)``, which gives the same values as k
-    calls of ``rng.random()``. A record's choice is the first entry of its
-    row at or above its uniform, the last cluster taking any uniform above
-    them all, and a record whose choice is its own cluster is flagged in
-    ``stay``. The rows of a record alone in its cluster, or of a record
-    whose weights are not finite, are NaN and never flag a stay.
+    record counted out of its own cluster. A record alone in its cluster
+    gives its own cluster zero weight and weighs a new cluster beside the
+    r - 1 others. The block draws one uniform per record with
+    ``rng.random(k)``, which gives the same values as k calls of
+    ``rng.random()``. A record's choice is the first entry of its row at or
+    above its uniform times the row's total; as the uniform is below 1, the
+    last entry always is, and an entry of zero weight never is the first. A
+    record whose choice is its own cluster is flagged in ``stay``. The row
+    of a record whose weights are not finite is NaN and never flags a stay.
 
     Step (a) changes none of the latents, sigma, the base variances,
     ``var_scale``, the pis, the discount or the strength, and it moves no
@@ -225,9 +230,9 @@ class UrnTables:
     bit for bit at q <= 3. At q >= 4 a row's rounding can depend on how many
     locations share the product (one new location goes through a
     matrix-vector product), so a column appended at a birth may differ from
-    the per-record value in its last bit. The block's last-axis ``exp``,
-    ``sum`` and ``cumsum`` of a C-contiguous array give each row the same
-    values as the same calls on that row alone.
+    the per-record value in its last bit. The block's last-axis ``exp`` and
+    ``cumsum`` of a C-contiguous array give each row the same values as the
+    same calls on that row alone.
     """
 
     def __init__(self, z, pis, var_scale, cov, base_var, hyper, mus):
@@ -238,54 +243,41 @@ class UrnTables:
         self.base_var = base_var
         self.c = var_scale * np.asarray(pis, dtype=float)
         self.sigma_inv = cov.sigma_inv
-        self.log_new, self.log_const = urn_sweep_terms(z, pis, var_scale, cov, base_var)
+        log_new, self.log_const = urn_sweep_terms(z, pis, var_scale, cov, base_var)
         k = np.arange(1, n + 1)
-        self.log_join = np.full(n + 1, np.nan)
+        self.log_join = np.full(n + 1, -np.inf)
         self.log_join[1:] = np.log(k - hyper.discount)
         self.log_open = np.full(n + 1, np.nan)
         self.log_open[1:] = np.log(hyper.strength + hyper.discount * k)
-        self.half_quad = np.hstack([np.zeros((n, 1)), self._half_quad(mus)])
+        self.log_kernel = np.hstack([log_new[:, None], self._log_kernel(mus)])
         self.stay = [False] * n
-        self._size_for(len(mus))
+        self._eye = np.eye(0)  # (r, r) identity, and _join, sized by _weigh
         self._rows = range(0)
         self._state = None  # generator state before the uniform of record _first
         self._first = 0
         self._u = None      # the uniforms of records _first to n - 1
 
-    def _half_quad(self, mus):
-        """(n, len(mus)) half quadratic forms, one stacked matmul per record."""
+    def _log_kernel(self, mus):
+        """(n, len(mus)) kernel terms about ``mus``, one stacked matmul per record."""
         diff = mus[None, :, :] - self.z[:, None, :]
-        return 0.5 * (((diff @ self.sigma_inv) * diff).sum(axis=-1) / self.c[:, None])
+        half_quad = 0.5 * (((diff @ self.sigma_inv) * diff).sum(axis=-1) / self.c[:, None])
+        return self.log_const[:, None] - half_quad
 
-    def _size_for(self, r: int):
-        """Shape the per-record block terms for ``r`` clusters.
+    def detach(self, i: int, mixture: MixtureState) -> bool:
+        """Take record ``i`` out of its cluster; returns whether the cluster died.
 
-        ``_lead[i]`` holds record i's own term of each entry of its block
-        row: ``log_new[i]`` for entry 0 and ``log_const[i]`` for the others.
-        ``_eye`` is the (r + 1, r) identity, whose last row is zero, and
-        ``_join`` the block's log urn weights by own cluster (:meth:`_weigh`),
-        whose column 0 of opening a new cluster is the same in every row.
-        """
-        self._eye = np.eye(r + 1, r, dtype=np.int64)
-        self._join = np.empty((r + 1, r + 1))
-        self._join[:, 0] = self.log_open[r]
-        self._lead = np.empty((self.z.shape[0], r + 1))
-        self._lead[:, 0] = self.log_new
-        self._lead[:, 1:] = self.log_const[:, None]
-
-    def detach(self, i: int, mixture: MixtureState):
-        """Take record ``i`` out of its cluster, which dies if the record was alone.
-
-        The record's label becomes -1 until a join or :meth:`birth` gives it
-        a cluster.
+        The cluster dies when the record was alone in it. The record's label
+        becomes -1 until a join or :meth:`birth` gives it a cluster.
         """
         old = mixture.labels[i]
         mixture.labels[i] = -1
         mixture.counts[old] -= 1
-        if mixture.counts[old] == 0:
+        died = mixture.counts[old] == 0
+        if died:
             mixture.remove_cluster(old)
-            self.half_quad = np.delete(self.half_quad, old + 1, axis=1)
+            self.log_kernel = np.delete(self.log_kernel, old + 1, axis=1)
         self.forget_rows()
+        return died
 
     def birth(self, i: int, mixture: MixtureState, rng):
         """Open a new cluster for detached record ``i`` at a location drawn from its posterior."""
@@ -293,7 +285,7 @@ class UrnTables:
         mu_new = _draw_location(self.z[i:i + 1], self.inv_pis[i:i + 1], self.sigma_inv,
                                 self.base_var, self.var_scale, rng)
         mixture.labels[i] = mixture.add_cluster(mu_new)
-        self.half_quad = np.hstack([self.half_quad, self._half_quad(mu_new[None, :])])
+        self.log_kernel = np.hstack([self.log_kernel, self._log_kernel(mu_new[None, :])])
 
     def forget_rows(self):
         """Drop the block and its stay flags."""
@@ -326,41 +318,35 @@ class UrnTables:
         """Weigh and decide the block of records that begins at ``start``.
 
         The block runs over up to :data:`URN_BLOCK` records, each counted
-        out of its own cluster. A record whose label is -1 has been detached
-        already and counts in no cluster; its draw always changes the
-        partition, so it is weighed as a block of one row. Entry 0 of a row
-        opens a new cluster and entry j + 1 joins cluster j.
+        out of its own cluster. Entry 0 of a row opens a new cluster and
+        entry j + 1 joins cluster j.
         """
         labels, counts = mixture.labels, mixture.counts
         r = counts.size
-        stop = start + 1 if labels[start] < 0 else min(start + URN_BLOCK, labels.size)
+        stop = min(start + URN_BLOCK, labels.size)
         rows = slice(start, stop)
         own = labels[rows]
-        if self._eye.shape[1] != r:
-            self._size_for(r)
+        if self._eye.shape[0] != r:
+            self._eye = np.eye(r, dtype=np.int64)
+            self._join = np.empty((r, r + 1))
         # row j of join: the log urn weights of a record of cluster j, counted
-        # out of it; row r, which a detached record's label -1 reads, counts
-        # no record out
+        # out of it; a record alone opens a new cluster beside r - 1 others
         join = self._join
+        join[:, 0] = self.log_open.take(r - (counts == 1))
         join[:, 1:] = self.log_join.take(counts - self._eye)
         cum = join.take(own, axis=0)
-        cum += self._lead[rows]
-        cum -= self.half_quad[rows]
+        cum += self.log_kernel[rows]
 
         # the row maxima, reduced over a transposed copy, which is faster
         cum -= np.maximum.reduce(cum.T.copy(), axis=0)[:, None]
         np.exp(cum, out=cum)
-        self._total = np.add.reduce(cum, axis=1, keepdims=True)
-        cum /= self._total
         cum = np.add.accumulate(cum, axis=1)
-        # the last cluster takes any uniform above the weights; a NaN row stays NaN
-        cum[:, r] += 1.0
+        self._total = cum[:, r]
         u = self._uniforms(start, stop - start, rng)
-        choice = (cum >= u[:, None]).argmax(axis=1)
+        choice = (cum >= (u * self._total)[:, None]).argmax(axis=1)
         self._rows = range(start, stop)
         self._choice = choice.tolist()
-        if labels[start] >= 0:
-            self.stay[rows] = (choice == own + 1).tolist()
+        self.stay[rows] = (choice == own + 1).tolist()
 
     def choose(self, i: int, mixture: MixtureState, rng) -> int:
         """Record ``i``'s urn choice: 0 opens a new cluster, j + 1 joins cluster j.
@@ -374,7 +360,7 @@ class UrnTables:
         if i not in self._rows:
             self._weigh(i, mixture, rng)
         m = i - self._rows.start
-        if not math.isfinite(self._total[m, 0]):
+        if not math.isfinite(self._total[m]):
             self.hand_back(i, rng)
             raise FloatingPointError(f"membership weights of record {i} are not finite")
         return self._choice[m]
@@ -385,28 +371,27 @@ def update_mu_i(i, mixture, rng, tables):
 
     Weighs opening a fresh cluster against each existing one, with the
     record counted out of its own cluster, and either leaves the record
-    where it is, joins another cluster or opens a new one. ``tables`` is the
-    sweep's :class:`UrnTables`, which decides the choice and makes the
-    change. A record alone in its cluster is detached first, so its cluster
-    dies before it is weighed. Raises ``FloatingPointError`` naming the
-    record when its membership weights are not finite.
+    where it is, joins another cluster or opens a new one. A record alone
+    in its cluster gives that cluster zero weight, as it dies when the
+    record leaves. ``tables`` is the sweep's :class:`UrnTables`, which
+    decides the choice and makes the change. Raises ``FloatingPointError``
+    naming the record when its membership weights are not finite.
     """
     if tables.stay[i]:
         return mixture
     old = mixture.labels[i]
-    if mixture.counts[old] > 1:
-        idx = tables.choose(i, mixture, rng)
-        if idx == old + 1:
-            return mixture
-        tables.detach(i, mixture)
-    else:
-        tables.detach(i, mixture)
-        idx = tables.choose(i, mixture, rng) if mixture.r else 0
+    # a lone record (n = 1) has no other cluster to weigh: it opens one and draws no uniform
+    idx = tables.choose(i, mixture, rng) if mixture.labels.size > 1 else 0
+    if idx == old + 1:
+        return mixture
+    died = tables.detach(i, mixture)
     if idx == 0:
         tables.birth(i, mixture, rng)
     else:
-        mixture.labels[i] = idx - 1
-        mixture.counts[idx - 1] += 1
+        # a cluster that died before the chosen one shifted it down by one
+        j = idx - 2 if died and idx > old + 1 else idx - 1
+        mixture.labels[i] = j
+        mixture.counts[j] += 1
     return mixture
 
 

@@ -353,7 +353,7 @@ def validate_dataset(ds: Dataset, schema: Schema) -> ValidationReport:
         not_int = np.abs(col - np.round(col)) > 1e-9
         out_of_range = (col < 0) | (col > v.n_levels - 1)
         for i in np.flatnonzero(not_int | ~np.isfinite(col)):
-            errors.append((int(i), v.name, f"non-integer code {col[i]!r}"))
+            errors.append((int(i), v.name, f"non-integer code {float(col[i])!r}"))
         for i in np.flatnonzero(~not_int & np.isfinite(col) & out_of_range):
             errors.append(
                 (int(i), v.name, f"code {int(round(col[i]))} outside 0..{v.n_levels - 1}")

@@ -20,7 +20,8 @@ from pdclust.dataio import (DataFormatError, partitions_digest, read_data_csv,
                             write_schema_file, write_similarity_binary,
                             write_text_output)
 from pdclust.latent import TransformSpec
-from pdclust.postproc import cluster_summary, expand_variables, min_hm_select, similarity
+from pdclust.postproc import (cluster_summary, expand_variables, hm_measure, min_hm_select,
+                              similarity)
 from pdclust.sampler import PriorConstants
 from pdclust.schema import continuous_spec, nominal_spec, ordinal_spec
 
@@ -275,6 +276,10 @@ class TestConfig:
         assert resolve_var_scale("0.5", 99.0) == 0.5
         with pytest.raises(CliError):
             resolve_var_scale("two wbars", 1.0)
+        # the factor goes before wbar, as the documented rule spells it
+        with pytest.raises(CliError, match="cannot parse var_scale rule") as err:
+            resolve_var_scale("wbar*2", 1.0)
+        assert err.value.code == EXIT_USAGE
         with pytest.raises(CliError):
             resolve_var_scale(-1.0, 1.0)
 
@@ -575,6 +580,38 @@ class TestVerbs:
         # dahl re-summarize restores the original bytes
         summarize_command(str(tmp / "out"), selection="dahl")
         assert (tmp / "out" / "summary.csv").read_bytes() == before
+
+    def test_summarize_verb_records_its_selection_in_the_manifest(self, scenario_files,
+                                                                   capsys):
+        tmp, _, _ = scenario_files
+        out = tmp / "out"
+        run_command(small_run_config(tmp, chains=2, pool=True))
+        path = out / "manifest.json"
+        before = json.loads(path.read_text())
+        capsys.readouterr()
+        assert main(["summarize", "--run", str(out), "--selection", "min-hm"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        after = json.loads(path.read_text())
+        dataset, schema = _load_inputs(tmp / "data.csv", tmp / "schema.txt")
+        expanded = expand_variables(dataset, schema)
+        entries = [*zip(before["chains"], after["chains"]), (before["pooled"], after["pooled"])]
+
+        def unsummarized(info):
+            return {key: value for key, value in info.items()
+                    if key not in ("selection", "selection_score", "hm", "n_clusters", "files")}
+
+        assert [line.split(":")[0] for line in lines] == ["chain 0", "chain 1", "pooled"]
+        for (old, new), line in zip(entries, lines):
+            selected = np.loadtxt(out / new["files"]["selected"], delimiter=",", skiprows=1,
+                                  dtype=np.int64)[:, 1]
+            assert new["selection"] == "min-hm"
+            assert new["n_clusters"] == np.unique(selected).size
+            assert new["hm"] == hm_measure(selected, expanded, dataset.weights)
+            assert f"min-hm partition with {new['n_clusters']} clusters" in line
+            assert unsummarized(new) == unsummarized(old)
+            assert new["files"].items() >= old["files"].items()
+        for key in ("config", "chain_seeds", "runtime_seconds"):
+            assert after[key] == before[key]
 
     def test_summarize_reads_a_manifest_with_settings_it_does_not_use(self, scenario_files):
         tmp, _, _ = scenario_files

@@ -147,6 +147,11 @@ class TestValidateDataset:
         ds = Dataset.from_values([[0.5]])
         assert not validate_dataset(ds, schema).ok
 
+    def test_messages_print_plain_numbers(self):
+        report = validate_dataset(Dataset.from_values([[0.5]]),
+                                  build_schema([ordinal_spec("b", 2)]))
+        assert str(report).splitlines()[1:] == ["  record 0, b: non-integer code 0.5"]
+
     def test_clean_scenario_passes(self):
         ds, _ = gen_study1(ScenarioSpec("I", seed=0))
         schema = build_schema(scenario_variable_specs("I"))
