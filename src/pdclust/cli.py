@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -475,12 +476,16 @@ def summarize_command(run_dir: str, selection: str | None = None) -> dict:
         # an open handle skips np.loadtxt's own path resolution (about 4 ms
         # of 45 ms at n = 1000 and 1500 partitions)
         try:
-            with open(part_path) as fh:
+            with open(part_path) as fh, warnings.catch_warnings():
+                # a file without rows is named below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 partitions = np.loadtxt(fh, delimiter=",", skiprows=1,
                                         dtype=np.int32, ndmin=2)
         except (OSError, ValueError) as err:  # missing file, or a cell that is not an int
             raise CliError(EXIT_VALIDATION,
                            f"{part_path}: cannot read partitions: {err}") from None
+        if partitions.size == 0:
+            raise CliError(EXIT_VALIDATION, f"{part_path}: holds no partitions")
         if partitions.shape[1] != dataset.n:
             raise CliError(EXIT_VALIDATION,
                            f"{part_path}: partitions have {partitions.shape[1]} "

@@ -62,8 +62,10 @@ class CovarianceState:
     fixed coordinates), ``corr`` the correlation matrix. The caches
     (``sigma``, ``chol``, ``sigma_inv``, ``logdet_sigma``, and
     ``corr_inv_chol``, ``corr_logdet``, ``corr_inv`` of ``corr``) are
-    refreshed after every accepted move. The free variances' inverse-gamma
-    prior is read from ``priors``.
+    refreshed after every accepted move. ``corr_score`` holds ``(scatter,
+    n, log target)`` of the current correlation matrix once a correlation
+    move has scored it, and every refresh clears it. The free variances'
+    inverse-gamma prior is read from ``priors``.
     """
 
     sdevs: np.ndarray
@@ -77,6 +79,7 @@ class CovarianceState:
     corr_logdet: float = field(init=False)
     corr_inv: np.ndarray = field(init=False)
     logdet_sigma: float = field(init=False)
+    corr_score: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.sdevs = np.array(self.sdevs, dtype=float)
@@ -103,6 +106,7 @@ class CovarianceState:
         ``_correlation_factor(corr)``. Either way the caches equal those of a
         full refresh bit for bit.
         """
+        self.corr_score = None
         self.sigma, self.chol = compose_sigma(self.sdevs, self.corr) if sigma is None else sigma
         inv_chol = np.linalg.inv(self.chol)
         self.sigma_inv = inv_chol.T @ inv_chol
@@ -174,15 +178,14 @@ def correlation_support(corr: np.ndarray, j: int, k: int) -> tuple[float, float]
     """Interval of values for entry (j, k) keeping the matrix PD.
 
     The determinant is quadratic in the entry; its two roots bracket the
-    admissible interval (intersected with [-1, 1]).
+    admissible interval (intersected with [-1, 1]). Its values at 1, -1 and
+    0 come from one ``det`` of a stack of three copies, which gives each
+    the same value as a ``det`` of that copy alone.
     """
-
-    def det_at(rho):
-        m = corr.copy()
-        m[j, k] = m[k, j] = rho
-        return float(np.linalg.det(m))
-
-    h1, hm1, h0 = det_at(1.0), det_at(-1.0), det_at(0.0)
+    m = np.empty((3, *corr.shape))
+    m[:] = corr
+    m[:, j, k] = m[:, k, j] = (1.0, -1.0, 0.0)
+    h1, hm1, h0 = np.linalg.det(m).tolist()
     t1 = 0.5 * (h1 + hm1 - 2.0 * h0)
     t2 = 0.5 * (h1 - hm1)
     t3 = h0
@@ -243,7 +246,8 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     The proposal window is the PD support shrunk to ``length/CORR_WINDOW_FRAC``
     on each side of the current value; the Hastings term corrects for the
     position-dependent window. The current matrix is scored from the
-    factor cached on ``state``; only the candidate is factorised, and an
+    factor cached on ``state``, once per accepted move and scatter (kept in
+    ``state.corr_score``); only the candidate is factorised, and an
     accepted candidate's factor becomes the cache.
     """
     if j >= k:
@@ -263,13 +267,14 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     cand_corr[j, k] = cand_corr[k, j] = cand
     try:
         cand_factor = _correlation_factor(cand_corr)
-        log_ratio = (
-            _correlation_logpost(cand_factor, state.sdevs, scatter, n, q)
-            - _correlation_logpost((state.corr_inv_chol, state.corr_logdet),
-                                   state.sdevs, scatter, n, q)
-        )
+        log_ratio = _correlation_logpost(cand_factor, state.sdevs, scatter, n, q)
     except np.linalg.LinAlgError:
         return False
+    held = state.corr_score
+    if held is None or held[0] is not scatter or held[1] != n:
+        held = state.corr_score = (scatter, n, _correlation_logpost(
+            (state.corr_inv_chol, state.corr_logdet), state.sdevs, scatter, n, q))
+    log_ratio -= held[2]
     log_ratio += _window_log_ratio(w_lo, w_hi, c_lo, c_hi)
 
     if np.log(rng.random()) < log_ratio:

@@ -126,18 +126,45 @@ def effective_pis(dataset: Dataset, weight_mode: str) -> np.ndarray:
 
 
 def _location_posterior(sigma_inv, base_var, prec_scale, zsum):
-    """Posterior (nu, V) of a cluster location given scaled sufficient stats."""
-    prec = prec_scale * sigma_inv + np.diag(1.0 / base_var)
+    """Posterior (nu, V) of cluster locations given scaled sufficient stats.
+
+    Either one cluster, with a number ``prec_scale`` and a q-vector
+    ``zsum``, or r clusters at once, with an (r,) and an (r, q) array; the
+    stacked ``inv`` and matrix-vector products give each cluster the same
+    (nu, V) bit for bit as a call for that cluster alone.
+    """
+    prec = np.asarray(prec_scale)[..., None, None] * sigma_inv + np.diag(1.0 / base_var)
     V = np.linalg.inv(prec)
-    nu = V @ (sigma_inv @ zsum)
+    nu = (V @ (sigma_inv @ zsum[..., None]))[..., 0]
     return nu, V
 
 
-def _draw_location(z_members, w_members, sigma_inv, base_var, var_scale, rng):
-    """A cluster location drawn from its posterior given its members' latents and weights."""
-    zsum = (z_members * w_members[:, None]).sum(axis=0) / var_scale
-    nu, V = _location_posterior(sigma_inv, base_var, w_members.sum() / var_scale, zsum)
-    return nu + np.linalg.cholesky(V) @ rng.standard_normal(z_members.shape[1])
+def _location_sums(z, w, members):
+    """``(zsum, wsum)``: the sums of w_i z_i and of w_i over each index of ``members``.
+
+    Each entry of ``members`` is an index array or a slice of the records.
+    """
+    zsum = np.empty((len(members), z.shape[1]))
+    wsum = np.empty(len(members))
+    for j, m in enumerate(members):
+        w_m = w[m]
+        zsum[j] = (z[m] * w_m[:, None]).sum(axis=0)
+        wsum[j] = w_m.sum()
+    return zsum, wsum
+
+
+def _draw_locations(z, w, members, sigma_inv, base_var, var_scale, rng):
+    """One location per index of ``members``, each drawn from its cluster's posterior.
+
+    Cluster j holds the records ``members[j]``, with latents ``z`` and
+    weights ``w`` = 1 / pi. The r clusters share one stacked ``inv``, one
+    ``cholesky`` and ``rng.standard_normal((r, q, 1))``, which gives the
+    same values as r calls of ``rng.standard_normal(q)``.
+    """
+    zsum, wsum = _location_sums(z, w, members)
+    nu, V = _location_posterior(sigma_inv, base_var, wsum / var_scale, zsum / var_scale)
+    eps = rng.standard_normal((*zsum.shape, 1))
+    return nu + (np.linalg.cholesky(V) @ eps)[..., 0]
 
 
 def urn_sweep_terms(z, pis, var_scale, cov, base_var):
@@ -162,14 +189,15 @@ def urn_sweep_terms(z, pis, var_scale, cov, base_var):
     return log_new, log_const
 
 
-#: Records weighed and decided together by :meth:`UrnTables.choose`. A
-#: record that stays costs almost nothing, so a longer block saves weighing
-#: on sweeps with few moves, and wastes more rows on sweeps with many, where
-#: a block is dropped a few rows in. Median CPU time of interleaved
-#: ``grid-design`` chains (one core of a 2-core VM) for 16 / 32 / 64: 0.62 /
-#: 0.49 / 0.43 s at low-move seed 11, 1.50 / 1.54 / 1.70 s and 0.89 / 0.81 /
-#: 0.88 s at high-move seeds 19 and 5. 32 is within about a tenth of the
-#: best on both kinds of seed.
+#: Records in the first block :meth:`UrnTables.choose` weighs and decides
+#: together, and in each block after a move. A record that stays costs almost
+#: nothing, so while records stay each block is twice as long as the one
+#: before, and a move, which drops the rest of its block, starts again at
+#: this length. On sweeps with few moves this saves weighing; on sweeps with
+#: many, blocks stay short and waste few rows. Blocks weighed per sweep,
+#: fixed 32-row blocks against this rule: 4.5 / 3.9 on ``mixed-ordinal`` at
+#: seed 23, 7.3 / 3.7 on ``grid-design`` at low-move seed 11 and 31.3 / 29.6
+#: at high-move seed 5.
 URN_BLOCK = 32
 
 
@@ -195,8 +223,10 @@ class UrnTables:
       in its own cluster.
 
     The records must be updated in order, 0 to n - 1, each once. A block of
-    up to :data:`URN_BLOCK` consecutive records is weighed and decided at
-    once (:meth:`choose`): each row holds the unnormalised cumulative urn
+    consecutive records is weighed and decided at once (:meth:`choose`):
+    :data:`URN_BLOCK` records at first and after a move, and twice as many
+    as in the block before when that one was used to its end, cut short at
+    the last record. Each row holds the unnormalised cumulative urn
     weights of one record, computed from the current counts with that
     record counted out of its own cluster. A record alone in its cluster
     gives its own cluster zero weight and weighs a new cluster beside the
@@ -230,9 +260,10 @@ class UrnTables:
     bit for bit at q <= 3. At q >= 4 a row's rounding can depend on how many
     locations share the product (one new location goes through a
     matrix-vector product), so a column appended at a birth may differ from
-    the per-record value in its last bit. The block's last-axis ``exp`` and
-    ``cumsum`` of a C-contiguous array give each row the same values as the
-    same calls on that row alone.
+    the per-record value in its last bit. The block's row maxima and its
+    last-axis ``exp`` and ``cumsum`` of a C-contiguous array give each row
+    the same values as the same calls on that row alone, so the length of a
+    block changes no decision.
     """
 
     def __init__(self, z, pis, var_scale, cov, base_var, hyper, mus):
@@ -282,10 +313,10 @@ class UrnTables:
     def birth(self, i: int, mixture: MixtureState, rng):
         """Open a new cluster for detached record ``i`` at a location drawn from its posterior."""
         self.hand_back(i + 1, rng)
-        mu_new = _draw_location(self.z[i:i + 1], self.inv_pis[i:i + 1], self.sigma_inv,
-                                self.base_var, self.var_scale, rng)
+        mu_new = _draw_locations(self.z, self.inv_pis, [slice(i, i + 1)], self.sigma_inv,
+                                 self.base_var, self.var_scale, rng)
         mixture.labels[i] = mixture.add_cluster(mu_new)
-        self.log_kernel = np.hstack([self.log_kernel, self._log_kernel(mu_new[None, :])])
+        self.log_kernel = np.hstack([self.log_kernel, self._log_kernel(mu_new)])
 
     def forget_rows(self):
         """Drop the block and its stay flags."""
@@ -317,13 +348,14 @@ class UrnTables:
     def _weigh(self, start: int, mixture: MixtureState, rng):
         """Weigh and decide the block of records that begins at ``start``.
 
-        The block runs over up to :data:`URN_BLOCK` records, each counted
-        out of its own cluster. Entry 0 of a row opens a new cluster and
-        entry j + 1 joins cluster j.
+        The block is as long as the class docstring sets out, and each of
+        its records is counted out of its own cluster. Entry 0 of a row
+        opens a new cluster and entry j + 1 joins cluster j.
         """
         labels, counts = mixture.labels, mixture.counts
         r = counts.size
-        stop = min(start + URN_BLOCK, labels.size)
+        # a block that is still held was used to its end: records come in order
+        stop = min(start + max(URN_BLOCK, 2 * len(self._rows)), labels.size)
         rows = slice(start, stop)
         own = labels[rows]
         if self._eye.shape[0] != r:
@@ -398,10 +430,11 @@ def update_mu_i(i, mixture, rng, tables):
 def update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng):
     """Refresh every cluster location from its Gaussian posterior (conditional (b))."""
     inv_pis = 1.0 / np.asarray(pis, dtype=float)
-    for j in range(mixture.r):
-        members = np.flatnonzero(mixture.labels == j)
-        mixture.mus[j] = _draw_location(latents.z[members], inv_pis[members], cov.sigma_inv,
-                                        base.base_var, var_scale, rng)
+    # a single cluster holds every record, so its sums need no index array
+    members = [slice(None)] if mixture.r == 1 else [
+        np.flatnonzero(mixture.labels == j) for j in range(mixture.r)]
+    mixture.mus = _draw_locations(latents.z, inv_pis, members, cov.sigma_inv, base.base_var,
+                                  var_scale, rng)
     return mixture
 
 

@@ -21,6 +21,7 @@ from scipy import stats
 
 import pdclust as pc
 import pdclust.covariance
+import pdclust.sampler
 from pdclust.cli import PRESETS
 from pdclust.covariance import CovarianceState, update_correlation, update_variance
 from pdclust.geweke import geweke_joint_test
@@ -197,6 +198,19 @@ def _geweke_config():
     return schema, cfg
 
 
+_LOCATION_SUMS = pdclust.sampler._location_sums
+
+#: Named terms of the sweep and the wrong versions that criterion 7 must catch:
+#: the two Hastings terms zeroed, and step (b)'s location sums without the 1/pi
+#: weights.
+MUTATIONS = {
+    "variance-hastings": (pdclust.covariance, "_gamma_logpdf_shape_scale", lambda *args: 0.0),
+    "correlation-hastings": (pdclust.covariance, "_window_log_ratio", lambda *args: 0.0),
+    "location-weights": (pdclust.sampler, "_location_sums",
+                         lambda z, w, members: _LOCATION_SUMS(z, np.ones_like(w), members)),
+}
+
+
 class TestCriterion07SamplerCorrectness:
     def test_joint_distribution_check_passes(self):
         schema, cfg = _geweke_config()
@@ -206,13 +220,10 @@ class TestCriterion07SamplerCorrectness:
                        f"over {len(report.names)} statistics, 20000 draws")
         assert ok, str(report)
 
-    @pytest.mark.parametrize("mutation, term", [
-        ("variance-hastings", "_gamma_logpdf_shape_scale"),
-        ("correlation-hastings", "_window_log_ratio"),
-    ], ids=["variance-hastings", "correlation-hastings"])
-    def test_mutations_are_detected(self, mutation, term, monkeypatch):
-        # zero one kernel's named Hastings term inside the sweep
-        monkeypatch.setattr(pdclust.covariance, term, lambda *args: 0.0)
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_mutations_are_detected(self, mutation, monkeypatch):
+        # replace one kernel's named term inside the sweep
+        monkeypatch.setattr(*MUTATIONS[mutation])
         schema, cfg = _geweke_config()
         report = geweke_joint_test(schema, cfg, draws=20_000, seed=11)
         ok = report.max_abs_z > 5.0

@@ -3,6 +3,7 @@ import hashlib
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -660,18 +661,24 @@ class TestVerbs:
         assert "partitions.csv" in err
         assert f"{ds.n - 1} records" in err and f"has {ds.n}" in err
 
-    @pytest.mark.parametrize("damage", ["non-integer-cell", "missing-file"])
+    @pytest.mark.parametrize("damage", ["non-integer-cell", "missing-file", "header-only"])
     def test_summarize_rejects_unreadable_partitions(self, scenario_files, damage, capsys):
         tmp, _, _ = scenario_files
         run_command(small_run_config(tmp))
         path = tmp / "out" / "partitions.csv"
+        header, first, *rest = path.read_text().splitlines()
         if damage == "missing-file":
             path.unlink()
+        elif damage == "header-only":
+            path.write_text(header + "\n")
         else:
-            header, first, *rest = path.read_text().splitlines()
             path.write_text("\n".join([header, "x," + first.split(",", 1)[1], *rest]) + "\n")
-        assert main(["summarize", "--run", str(tmp / "out")]) == EXIT_VALIDATION
-        assert f"{path}: cannot read partitions" in capsys.readouterr().err
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["summarize", "--run", str(tmp / "out")]) == EXIT_VALIDATION
+        expected = "holds no partitions" if damage == "header-only" else "cannot read partitions"
+        assert f"{path}: {expected}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("similarity_csv", [False, True])
     def test_summarize_reuses_the_stored_similarity(self, scenario_files, monkeypatch,

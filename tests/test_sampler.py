@@ -430,6 +430,49 @@ def reference_update_mu_i(i, latents, mixture, cov, base, hyper, pi_i, var_scale
     return mixture
 
 
+def reference_update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng):
+    """Step (b) one cluster at a time: one inv, cholesky and normal draw per cluster."""
+    inv_pis = 1.0 / np.asarray(pis, dtype=float)
+    for j in range(mixture.r):
+        members = np.flatnonzero(mixture.labels == j)
+        z_members, w_members = latents.z[members], inv_pis[members]
+        zsum = (z_members * w_members[:, None]).sum(axis=0) / var_scale
+        prec = (w_members.sum() / var_scale) * cov.sigma_inv + np.diag(1.0 / base.base_var)
+        V = np.linalg.inv(prec)
+        nu = V @ (cov.sigma_inv @ zsum)
+        mixture.mus[j] = nu + np.linalg.cholesky(V) @ rng.standard_normal(z_members.shape[1])
+    return mixture
+
+
+def reference_correlation_support(corr, j, k):
+    """The PD support of entry (j, k) from three copies of the matrix and three dets."""
+    def det_at(rho):
+        m = corr.copy()
+        m[j, k] = m[k, j] = rho
+        return float(np.linalg.det(m))
+
+    h1, hm1, h0 = det_at(1.0), det_at(-1.0), det_at(0.0)
+    t1 = 0.5 * (h1 + hm1 - 2.0 * h0)
+    t2 = 0.5 * (h1 - hm1)
+    t3 = h0
+    cur = float(corr[j, k])
+    scale = max(abs(t1), abs(t2), abs(t3), 1.0)
+    if abs(t1) <= 1e-13 * scale:
+        if abs(t2) <= 1e-13 * scale:
+            lo, hi = -1.0, 1.0
+        elif t2 > 0:
+            lo, hi = -t3 / t2, 1.0
+        else:
+            lo, hi = -1.0, -t3 / t2
+    else:
+        disc = max(t2 * t2 - 4.0 * t1 * t3, 0.0)
+        qf = -0.5 * (t2 + np.copysign(np.sqrt(disc), t2 if t2 != 0 else 1.0))
+        r1, r2 = (0.0, 0.0) if qf == 0.0 else (qf / t1, t3 / qf)
+        lo, hi = min(r1, r2), max(r1, r2)
+    lo, hi = max(lo, -1.0), min(hi, 1.0)
+    return float(min(lo, cur)), float(max(hi, cur))
+
+
 def reference_correlation_logpost(corr, sdevs, scatter, n, q):
     """The correlation log target from q principal-minor slogdets and a solve."""
     logdet = chol_logdet(np.linalg.cholesky(corr))
@@ -450,7 +493,7 @@ def reference_correlation_logpost(corr, sdevs, scatter, n, q):
 def reference_update_correlation(state, j, k, scatter, n, rng):
     """Step (e) scoring both the candidate and the current matrix from scratch."""
     q = state.q
-    lo, hi = correlation_support(state.corr, j, k)
+    lo, hi = reference_correlation_support(state.corr, j, k)
     length = hi - lo
     if length <= 0.0:
         return False
@@ -482,13 +525,13 @@ def reference_update_correlation(state, j, k, scatter, n, rng):
 
 
 def reference_gibbs_sweep(latents, mixture, cov, base, hyper, var_scale, pis, rng):
-    """The sweep as it was before step (a) read its weights from UrnTables."""
+    """The sweep with steps (a), (b) and (e) made one record, cluster or entry at a time."""
     n, q = latents.z.shape
     log_new, log_const = urn_sweep_terms(latents.z, pis, var_scale, cov, base.base_var)
     for i in range(n):
         reference_update_mu_i(i, latents, mixture, cov, base, hyper, pis[i], var_scale, rng,
                               log_new[i], log_const[i])
-    update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
+    reference_update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng)
     base.base_var = update_base_scales(base, mixture.mus, rng)
     scatter = scatter_matrix(latents.z, mixture.mus[mixture.labels], pis, var_scale)
     for j in np.flatnonzero(cov.free):
@@ -531,6 +574,32 @@ def test_sweeps_match_reference_urn_and_correlation_steps(scenario):
                  (c1.sdevs, c2.sdevs), (c1.corr, c2.corr), (b1.base_var, b2.base_var),
                  (h1.discount, h2.discount), (h1.strength, h2.strength)]:
         assert np.array_equal(a, b)
+
+
+def test_stacked_steps_b_and_e_match_per_item_calls():
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        q, r = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+        n = r + int(rng.integers(0, 40))
+        a = rng.standard_normal((q, q + 2))
+        m = a @ a.T
+        corr = m / np.sqrt(np.outer(np.diag(m), np.diag(m)))
+        cov = CovarianceState(sdevs=rng.uniform(0.5, 1.5, q), corr=corr, free=[True] * q)
+        latents, _, _, base, _, _ = tiny_states(n=n, q=q, seed=trial)
+        base.base_var = rng.uniform(0.5, 4.0, q)
+        pis, var_scale = rng.uniform(0.3, 1.0, n), rng.uniform(0.5, 2.0)
+        labels = np.concatenate([np.arange(r), rng.integers(0, r, n - r)])
+        stacked, single = (MixtureState(labels.copy(), np.zeros((r, q)), np.bincount(labels))
+                           for _ in range(2))
+        update_unique_mus(latents, stacked, cov, base, var_scale, pis,
+                          np.random.default_rng(trial))
+        reference_update_unique_mus(latents, single, cov, base, var_scale, pis,
+                                    np.random.default_rng(trial))
+        assert np.array_equal(stacked.mus, single.mus)
+        for j in range(q):
+            for k in range(j + 1, q):
+                assert correlation_support(corr, j, k) == reference_correlation_support(
+                    corr, j, k)
 
 
 @pytest.mark.parametrize("discount, strength", [(0.0, 1.7), (0.0, 0.2), (0.3, -0.25),
@@ -882,3 +951,36 @@ def test_a_record_alone_is_decided_from_its_block_row(monkeypatch):
         # no block starts at a detached record, and records alone were decided
         assert firsts and min(firsts) >= 0
         assert any(alone_decided)
+
+
+def urn_blocks(monkeypatch, state):
+    """The ``(start, stop)`` of every block one pass of step (a) weighs, and the final labels."""
+    latents, cov, base, hyper, pis, labels, mus = state
+    blocks, weigh = [], UrnTables._weigh
+
+    def recording_weigh(self, start, mixture, rng):
+        weigh(self, start, mixture, rng)
+        blocks.append((self._rows.start, self._rows.stop))
+
+    mixture = MixtureState(labels.copy(), mus.copy(), np.bincount(labels))
+    tables = UrnTables(latents.z, pis, 1.0, cov, base.base_var, hyper, mixture.mus)
+    rng = np.random.default_rng(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(UrnTables, "_weigh", recording_weigh)
+        for i in range(labels.size):
+            update_mu_i(i, mixture, rng, tables)
+    return blocks, mixture.labels
+
+
+def test_blocks_grow_while_records_stay(monkeypatch):
+    n = 2 * URN_BLOCK + 9
+    # no record moves: the block after a full one is twice as long
+    blocks, _ = urn_blocks(monkeypatch, separated_partition(0))
+    assert blocks == [(0, URN_BLOCK), (URN_BLOCK, n)]
+    # a move inside the grown block starts the next one at URN_BLOCK rows
+    mover = URN_BLOCK + 4
+    state = separated_partition(0, movers=(mover,))
+    blocks, labels = urn_blocks(monkeypatch, state)
+    assert labels[mover] != state[5][mover]
+    assert blocks == [(0, URN_BLOCK), (URN_BLOCK, n), (mover + 1, mover + 1 + URN_BLOCK),
+                      (mover + 1 + URN_BLOCK, n)]
