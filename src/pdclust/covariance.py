@@ -62,10 +62,10 @@ class CovarianceState:
     fixed coordinates), ``corr`` the correlation matrix. The caches
     (``sigma``, ``chol``, ``sigma_inv``, ``logdet_sigma``, and
     ``corr_inv_chol``, ``corr_logdet``, ``corr_inv`` of ``corr``) are
-    refreshed after every accepted move. ``corr_score`` holds ``(scatter,
-    n, log target)`` of the current correlation matrix once a correlation
-    move has scored it, and every refresh clears it. The free variances'
-    inverse-gamma prior is read from ``priors``.
+    refreshed after every accepted move. ``corr_score`` holds ``((bytes of
+    scatter, n), log target)`` of the current correlation matrix once a
+    correlation move has scored it, and every refresh clears it. The free
+    variances' inverse-gamma prior is read from ``priors``.
     """
 
     sdevs: np.ndarray
@@ -246,8 +246,8 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
     The proposal window is the PD support shrunk to ``length/CORR_WINDOW_FRAC``
     on each side of the current value; the Hastings term corrects for the
     position-dependent window. The current matrix is scored from the
-    factor cached on ``state``, once per accepted move and scatter (kept in
-    ``state.corr_score``); only the candidate is factorised, and an
+    factor cached on ``state``, once per accepted move and scatter contents
+    (kept in ``state.corr_score``); only the candidate is factorised, and an
     accepted candidate's factor becomes the cache.
     """
     if j >= k:
@@ -270,11 +270,13 @@ def update_correlation(state: CovarianceState, j: int, k: int, scatter, n: int, 
         log_ratio = _correlation_logpost(cand_factor, state.sdevs, scatter, n, q)
     except np.linalg.LinAlgError:
         return False
+    # keyed on the scatter's bytes, so a buffer changed in place is scored again
+    key = (np.asarray(scatter, dtype=float).tobytes(), n)
     held = state.corr_score
-    if held is None or held[0] is not scatter or held[1] != n:
-        held = state.corr_score = (scatter, n, _correlation_logpost(
+    if held is None or held[0] != key:
+        held = state.corr_score = (key, _correlation_logpost(
             (state.corr_inv_chol, state.corr_logdet), state.sdevs, scatter, n, q))
-    log_ratio -= held[2]
+    log_ratio -= held[1]
     log_ratio += _window_log_ratio(w_lo, w_hi, c_lo, c_hi)
 
     if np.log(rng.random()) < log_ratio:

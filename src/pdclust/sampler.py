@@ -430,9 +430,7 @@ def update_mu_i(i, mixture, rng, tables):
 def update_unique_mus(latents, mixture, cov, base, var_scale, pis, rng):
     """Refresh every cluster location from its Gaussian posterior (conditional (b))."""
     inv_pis = 1.0 / np.asarray(pis, dtype=float)
-    # a single cluster holds every record, so its sums need no index array
-    members = [slice(None)] if mixture.r == 1 else [
-        np.flatnonzero(mixture.labels == j) for j in range(mixture.r)]
+    members = [np.flatnonzero(mixture.labels == j) for j in range(mixture.r)]
     mixture.mus = _draw_locations(latents.z, inv_pis, members, cov.sigma_inv, base.base_var,
                                   var_scale, rng)
     return mixture

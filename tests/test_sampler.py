@@ -18,7 +18,8 @@ from pdclust import (BaseMeasure, ChainInvariantError, Dataset, PDHyper, PriorCo
                      gen_study1, gen_study2, initial_latents, nominal_spec, ordinal_spec,
                      run_chain, scenario_sampler_settings, scenario_variable_specs)
 from pdclust.covariance import (CORR_WINDOW_FRAC, CovarianceState, chol_logdet,
-                                correlation_support, scatter_matrix, update_variance)
+                                correlation_support, scatter_matrix, update_correlation,
+                                update_variance)
 from pdclust.geweke import _ancestral_draw, geweke_joint_test
 from pdclust.latent import LatentState, resample_latents
 from pdclust.pdprocess import update_base_scales, update_discount, update_strength
@@ -600,6 +601,24 @@ def test_stacked_steps_b_and_e_match_per_item_calls():
             for k in range(j + 1, q):
                 assert correlation_support(corr, j, k) == reference_correlation_support(
                     corr, j, k)
+
+
+def test_correlation_score_follows_a_scatter_changed_in_place():
+    # one scatter buffer, rewritten between calls: the current matrix's score is not reused
+    q, n = 4, 50
+    rng = np.random.default_rng(29)
+    cov, ref = (CovarianceState(sdevs=np.ones(q), corr=np.eye(q), free=[True] * q)
+                for _ in range(2))
+    scatter = np.empty((q, q))
+    moves, rng_new, rng_ref = [], np.random.default_rng(30), np.random.default_rng(30)
+    for _ in range(300):
+        x = rng.standard_normal((n, q)) * rng.uniform(0.2, 3.0, q)
+        scatter[:] = x.T @ x
+        j, k = sorted(rng.choice(q, 2, replace=False).tolist())
+        moves.append(update_correlation(cov, j, k, scatter, n, rng_new))
+        assert moves[-1] == reference_update_correlation(ref, j, k, scatter, n, rng_ref)
+        assert np.array_equal(cov.corr, ref.corr)
+    assert 0 < sum(moves) < len(moves)
 
 
 @pytest.mark.parametrize("discount, strength", [(0.0, 1.7), (0.0, 0.2), (0.3, -0.25),
