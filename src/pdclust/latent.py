@@ -222,14 +222,6 @@ class LatentState:
     dataset: Dataset
     schema: Schema
 
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.z.shape[1]
-
     def observed_column(self, k: int) -> np.ndarray:
         return self.dataset.values[:, self.schema.input_index[k]]
 

@@ -25,8 +25,10 @@ import pdclust.sampler
 from pdclust.cli import PRESETS
 from pdclust.covariance import CovarianceState, update_correlation, update_variance
 from pdclust.geweke import geweke_joint_test
+from pdclust.latent import conditional_moments
 from pdclust.postproc import dahl_select, expand_variables, hm_measure, similarity
-from pdclust.pdprocess import PDHyper, update_discount, update_strength
+from pdclust.pdprocess import (BaseMeasure, PDHyper, eppf_log, update_base_scales,
+                               update_discount, update_strength)
 
 pytestmark = pytest.mark.acceptance
 
@@ -305,10 +307,10 @@ class TestCriterion08PriorRecovery:
             ends[c] = state.sdevs[0] ** 2
         p_var = stats.kstest(ends, prior.cdf).pvalue
         # base-measure variances, empty-location bypass draws from the prior
-        base = pc.BaseMeasure(np.ones(2), priors=pc.PriorConstants(base_prior_shape=2.1,
-                                                                   base_prior_scale=30.0))
+        base = BaseMeasure(np.ones(2), priors=pc.PriorConstants(base_prior_shape=2.1,
+                                                                base_prior_scale=30.0))
         draws = np.array([
-            pc.update_base_scales(base, np.empty((0, 2)), rng)[0]
+            update_base_scales(base, np.empty((0, 2)), rng)[0]
             for _ in range(10_000)
         ])
         p_base = stats.kstest(draws, stats.invgamma(a=2.1, scale=30.0).cdf).pvalue
@@ -341,7 +343,7 @@ class TestCriterion09OracleEquivalences:
         for n in range(1, 13):
             for sizes in _int_partitions(n):
                 for b in (0.25, 1.0, 3.7):
-                    gap = abs(pc.eppf_log(0.0, b, list(sizes)) - _ewens_log(b, sizes))
+                    gap = abs(eppf_log(0.0, b, list(sizes)) - _ewens_log(b, sizes))
                     worst = max(worst, gap)
                     count += 1
         ok = worst < 1e-10
@@ -395,7 +397,7 @@ class TestCriterion09OracleEquivalences:
             w = dens / np.trapezoid(dens, grid)
             mean = np.trapezoid(w * grid, grid)
             var = np.trapezoid(w * (grid - mean) ** 2, grid)
-            nu, v = pc.conditional_moments(np.linalg.inv(sigma), mu, z, coord, scale)
+            nu, v = conditional_moments(np.linalg.inv(sigma), mu, z, coord, scale)
             worst = max(worst, abs(nu - mean) / max(1, abs(mean)),
                         abs(v - var) / max(1, var))
         ok = worst < 1e-6

@@ -465,6 +465,21 @@ class TestVerbs:
         assert code == EXIT_VALIDATION
         assert "b" in capsys.readouterr().out
 
+    def test_validate_names_a_weight_whose_inverse_overflows(self, tmp_path, capsys):
+        # 1/w overflows for a positive weight below about 5.6e-309
+        specs = [continuous_spec("y")]
+        (tmp_path / "data.csv").write_text("y,w\n0.5,1.0\n1.5,1e-310\n2.5,2.0\n")
+        write_schema_file(tmp_path / "schema.txt", specs, weight_column="w")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["validate", "--data", str(tmp_path / "data.csv"),
+                         "--schema", str(tmp_path / "schema.txt")])
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["1 problem(s) found:",
+                                    "  record 1, <weight>: sampling probability 1/w is not finite"]
+        assert not caught and err == ""
+
     def test_validate_and_run_reject_values_a_log_shift_cannot_map(self, tmp_path, capsys):
         # the fitted shift of normal(0, 3) values, their 1 % quantile, is negative
         specs = [continuous_spec("income", TransformSpec(kind="log-shift"))]

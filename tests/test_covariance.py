@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pdclust import (CovarianceState, PriorConstants, compose_sigma, correlation_support,
-                     scatter_matrix)
-from pdclust.covariance import (_correlation_factor, _correlation_logpost,
-                                _gamma_logpdf_shape_scale, chol_logdet,
-                                update_correlation, update_variance)
+from pdclust import PriorConstants
+from pdclust.covariance import (CovarianceState, _correlation_factor, _correlation_logpost,
+                                _gamma_logpdf_shape_scale, chol_logdet, compose_sigma,
+                                correlation_support, scatter_matrix, update_correlation,
+                                update_variance)
 
 #: Inverse-gamma(2, 2) on the free variances.
 PRIOR_2_2 = PriorConstants(var_prior_shape=2.0, var_prior_scale=2.0)

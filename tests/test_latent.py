@@ -3,12 +3,12 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from pdclust import (Dataset, PriorConstants, TransformSpec, build_schema,
-                     conditional_moments, continuous_spec, decode_ordinal, initial_latents,
-                     nominal_spec, ordinal_spec, transform_continuous)
+from pdclust import (Dataset, PriorConstants, TransformSpec, build_schema, continuous_spec,
+                     nominal_spec, ordinal_spec)
 from pdclust.covariance import CovarianceState
-from pdclust.latent import (decode_levels, fit_transforms, resample_latents,
-                            sample_truncated_normal_many)
+from pdclust.latent import (conditional_moments, decode_levels, decode_ordinal, fit_transforms,
+                            initial_latents, resample_latents, sample_truncated_normal_many,
+                            transform_continuous)
 from pdclust.sampler import MixtureState
 
 #: Inverse-gamma(2, 2) on the free variances.

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pdclust import BaseMeasure, PDHyper, PriorConstants, eppf_log, urn_weights
-from pdclust.pdprocess import update_base_scales, update_discount, update_strength
+from pdclust import PriorConstants
+from pdclust.pdprocess import (BaseMeasure, PDHyper, eppf_log, update_base_scales,
+                               update_discount, update_strength, urn_weights)
 
 
 def ewens_log(strength, sizes):

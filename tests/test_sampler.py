@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -13,19 +14,20 @@ import pytest
 from scipy import stats
 
 import pdclust
-from pdclust import (BaseMeasure, ChainInvariantError, Dataset, PDHyper, PriorConstants,
-                     SamplerConfig, build_schema, continuous_spec, fit_transforms,
-                     gen_study1, gen_study2, initial_latents, nominal_spec, ordinal_spec,
-                     run_chain, scenario_sampler_settings, scenario_variable_specs)
+from pdclust import (Dataset, PriorConstants, SamplerConfig, build_schema, continuous_spec,
+                     gen_study1, gen_study2, nominal_spec, ordinal_spec, run_chain,
+                     scenario_sampler_settings, scenario_variable_specs)
 from pdclust.covariance import (CORR_WINDOW_FRAC, CovarianceState, chol_logdet,
                                 correlation_support, scatter_matrix, update_correlation,
                                 update_variance)
 from pdclust.geweke import _ancestral_draw, geweke_joint_test
-from pdclust.latent import LatentState, resample_latents
-from pdclust.pdprocess import update_base_scales, update_discount, update_strength
+from pdclust.latent import LatentState, fit_transforms, initial_latents, resample_latents
+from pdclust.pdprocess import (BaseMeasure, PDHyper, update_base_scales, update_discount,
+                               update_strength)
 from pdclust.sampler import (MixtureState, UrnTables, _location_posterior, URN_BLOCK,
                              effective_pis, gibbs_sweep, init_states, update_mu_i,
                              update_unique_mus, urn_sweep_terms)
+from pdclust.schema import ChainInvariantError
 from pdclust.simgen import STUDY1, ScenarioSpec
 
 PRIOR_C = PriorConstants(var_prior_shape=2.1, var_prior_scale=30.0,
@@ -335,6 +337,31 @@ def test_no_module_is_exported():
     modules = [name for name in pdclust.__all__
                if isinstance(getattr(pdclust, name), types.ModuleType)]
     assert not modules, "modules in pdclust.__all__: " + ", ".join(modules)
+
+
+def test_exports_are_what_the_readme_cli_and_benchmark_call():
+    assert sorted(pdclust.__all__) == sorted([
+        "Dataset", "PriorConstants", "SamplerConfig", "TransformSpec", "build_schema",
+        "continuous_spec", "ordinal_spec", "nominal_spec", "run_chain", "similarity",
+        "dahl_select", "cluster_summary", "hm_measure", "expand_variables",
+        "ScenarioSpec", "gen_study1", "gen_study2", "scenario_sampler_settings",
+        "scenario_variable_specs", "min_hm_select", "validate_dataset"])
+    workloads = Path(__file__).parents[1] / "bench" / "workloads.py"
+    called = set(re.findall(r"\bpc\.(\w+)", workloads.read_text()))
+    assert called and called <= set(pdclust.__all__), sorted(called - set(pdclust.__all__))
+    for kernel in ("update_mu_i", "gibbs_sweep", "MixtureDensity"):
+        assert not hasattr(pdclust, kernel), kernel
+
+
+def test_package_imports_exactly_its_exports():
+    # no dir() scan: __all__ is a literal list, so it and the imports cannot drift apart
+    tree = ast.parse(Path(pdclust.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    (exports,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"]
+    assert len(exports) == len(set(exports))
+    assert imported == set(exports)
 
 
 def _names_read(tree):

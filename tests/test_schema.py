@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from pdclust import (Dataset, SchemaError, build_schema, continuous_spec,
-                     default_cutoffs, gen_study1, nominal_spec, ordinal_spec,
-                     scenario_variable_specs, validate_dataset)
+from pdclust import (Dataset, build_schema, continuous_spec, gen_study1, nominal_spec,
+                     ordinal_spec, scenario_variable_specs, validate_dataset)
+from pdclust.schema import SchemaError, default_cutoffs
 from pdclust.simgen import ScenarioSpec
 
 

@@ -4,9 +4,8 @@ from scipy import stats
 from scipy.integrate import quad
 
 from pdclust import (ScenarioSpec, build_schema, gen_study1, gen_study2,
-                     scenario_sampler_settings, scenario_variable_specs,
-                     study1_latents, validate_dataset)
-from pdclust.simgen import STUDY2_MEANS, STUDY2_VARS, STUDY2_WEIGHTS
+                     scenario_sampler_settings, scenario_variable_specs, validate_dataset)
+from pdclust.simgen import STUDY2_MEANS, STUDY2_VARS, STUDY2_WEIGHTS, study1_latents
 
 
 def study2_pdf(x):
