@@ -2,9 +2,10 @@
 
 Verbs: ``run`` (cluster a CSV), ``bench`` (generate a benchmark scenario and
 run it), ``summarize`` (re-run post-processing on a finished run) and
-``validate`` (check a dataset against its schema). Settings resolve as
-defaults < config file (JSON) < command-line flags. Exit codes: 0 success,
-1 usage/config error, 2 data validation failure, 3 runtime failure.
+``validate`` (check a dataset against its schema). ``_CONFIG_DEFAULTS`` is
+the single list of ``run`` settings. Settings resolve as defaults < config
+file (JSON) < command-line flags. Exit codes: 0 success, 1 usage/config
+error, 2 data validation failure, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,13 @@ _CONSTANTS = {f.name: f.default for f in dataclasses.fields(PriorConstants)}
 
 SELECTIONS = ("dahl", "min-hm")
 
+#: The ``run`` flags that take one of a fixed set of values, and those with help.
+_CHOICES = {"weight_mode": ("ignore", "design"), "preset": (*PRESETS, "custom"),
+            "selection": SELECTIONS}
+_HELP = {"var_scale": "number, 'wbar', '<k>*wbar' or 'wbar/<k>'"}
+
+#: The single list of ``run`` settings, with their defaults: the config keys,
+#: the ``run`` flags and a manifest's ``"config"`` are all built from it.
 _CONFIG_DEFAULTS = {
     "data": None,
     "schema": None,
@@ -85,54 +92,12 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one ``run`` invocation.
-
-    The prior constants are the sampler's own :class:`PriorConstants`, which
-    checks them.
-    """
-
-    data: str | None
-    schema: str | None
-    out: str | None
-    iterations: int
-    burnin: int
-    thinning: int
-    seed: int
-    chains: int
-    workers: int
-    weight_mode: str
-    var_scale: str | float
-    preset: str
-    priors: PriorConstants
-    selection: str
-    pool: bool
-    similarity_csv: bool
-
-    def sampler_config(self, wbar: float, seed: int | None = None) -> SamplerConfig:
-        return SamplerConfig(
-            iterations=self.iterations,
-            burnin=self.burnin,
-            thinning=self.thinning,
-            var_scale=resolve_var_scale(self.var_scale, wbar),
-            seed=self.seed if seed is None else seed,
-            weight_mode=self.weight_mode,
-            priors=self.priors,
-        )
-
-    def as_mapping(self) -> dict:
-        """The settings under their config keys, in the order of the defaults."""
-        flat = {**vars(self), **dataclasses.asdict(self.priors)}
-        return {key: flat[key] for key in _CONFIG_DEFAULTS}
-
-
 def resolve_var_scale(rule, wbar: float) -> float:
     """Resolve a variance-scale rule to a number.
 
     Accepts a plain number, ``"wbar"``, ``"<k>*wbar"`` or ``"wbar/<k>"``.
     """
-    if isinstance(rule, (int, float)):
+    if isinstance(rule, (int, float)) and not isinstance(rule, bool):
         value = float(rule)
     else:
         text = str(rule).strip().lower().replace(" ", "")
@@ -158,8 +123,19 @@ def _check_selection(selection) -> str:
     return selection
 
 
-def _build_run_config(mapping: dict) -> RunConfig:
-    """Resolve a config mapping over the defaults and check every setting."""
+def _sampler_config(cfg: dict, wbar: float, seed: int | None = None) -> SamplerConfig:
+    """One chain's settings from the resolved run settings ``cfg``."""
+    return SamplerConfig(
+        priors=PriorConstants(**{name: cfg[name] for name in _CONSTANTS}),
+        **{key: cfg[key] for key in ("iterations", "burnin", "thinning", "weight_mode")},
+        var_scale=resolve_var_scale(cfg["var_scale"], wbar),
+        seed=cfg["seed"] if seed is None else seed,
+    )
+
+
+def _build_run_config(mapping: dict) -> dict:
+    """Resolve a config mapping over the defaults and check every setting;
+    returns the settings in ``_CONFIG_DEFAULTS`` order, the preset filled in."""
     unknown = set(mapping) - set(_CONFIG_DEFAULTS)
     if unknown:
         raise CliError(EXIT_USAGE, f"unknown config field(s): {', '.join(sorted(unknown))}")
@@ -177,17 +153,18 @@ def _build_run_config(mapping: dict) -> RunConfig:
         raise CliError(EXIT_USAGE, f"preset=custom needs explicit {', '.join(missing)}")
 
     _check_selection(merged["selection"])
+    for key, default in _CONFIG_DEFAULTS.items():
+        if isinstance(default, bool) and not isinstance(merged[key], bool):
+            raise CliError(EXIT_USAGE, f"{key} must be true or false, got {merged[key]!r}")
     try:
         for key in ("chains", "workers"):
             _check_count(key, merged[key], 1)
-        priors = PriorConstants(**{name: merged.pop(name) for name in _CONSTANTS})
-        cfg = RunConfig(priors=priors, **merged)
         # A positive wbar scales the variance-scale rule but keeps its sign, so
         # this checks every sampler setting before any input is read.
-        cfg.sampler_config(wbar=1.0)
+        _sampler_config(merged, wbar=1.0)
     except ValueError as err:
         raise CliError(EXIT_USAGE, f"invalid config: {err}") from None
-    return cfg
+    return merged
 
 
 def _read_config(path) -> dict:
@@ -202,20 +179,26 @@ def _read_config(path) -> dict:
     return mapping
 
 
-def _layered_config(args: argparse.Namespace) -> RunConfig:
+def _layered_config(args: argparse.Namespace) -> dict:
     """Flags over the config file's keys, resolved and checked once, so that a
     flag's ``--preset`` sets every variance-prior constant the file leaves out."""
     mapping = _read_config(args.config) if args.config else {}
     for key in _CONFIG_DEFAULTS:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             mapping[key] = val
     return _build_run_config(mapping)
 
 
 def _load_inputs(data_path, schema_path):
-    specs, weight_column, skipped = read_schema_file(schema_path)
-    return read_data_csv(data_path, specs, weight_column, skipped), build_schema(specs)
+    path = schema_path
+    try:
+        specs, weight_column, skipped = read_schema_file(path)
+        path = data_path
+        dataset = read_data_csv(path, specs, weight_column, skipped)
+    except OSError as err:  # a file that is missing, unreadable or a directory
+        raise CliError(EXIT_VALIDATION, f"{path}: cannot read input: {err}") from None
+    return dataset, build_schema(specs)
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -323,28 +306,28 @@ def _emit_selection_outputs(outdir: Path, tag: str, selection: str, similarity_c
     return info
 
 
-def _run(cfg: RunConfig) -> tuple[dict, list[ChainOutput]]:
+def _run(cfg: dict) -> tuple[dict, list[ChainOutput]]:
     """Execute chains and write every output but the manifest.
 
     Returns the manifest mapping and the chains' outputs.
     """
     t0 = time.perf_counter()
-    if None in (cfg.data, cfg.schema, cfg.out):
+    if None in (cfg["data"], cfg["schema"], cfg["out"]):
         raise CliError(EXIT_USAGE, "--data, --schema and --out are required")
-    dataset, schema = _load_inputs(cfg.data, cfg.schema)
+    dataset, schema = _load_inputs(cfg["data"], cfg["schema"])
     report = validate_dataset(dataset, schema)
     if not report.ok:
         raise CliError(EXIT_VALIDATION, str(report))
     schema = fit_transforms(schema, dataset)
-    outdir = Path(cfg.out)
+    outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
 
-    seeds = _chain_seeds(cfg.seed, cfg.chains)
-    payloads = [(dataset, schema, cfg.sampler_config(dataset.wbar, seed=s))
+    seeds = _chain_seeds(cfg["seed"], cfg["chains"])
+    payloads = [(dataset, schema, _sampler_config(cfg, dataset.wbar, seed=s))
                 for s in seeds]
     try:
-        if cfg.workers > 1 and cfg.chains > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        if cfg["workers"] > 1 and cfg["chains"] > 1:
+            with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
                 outputs = list(pool.map(_run_single, payloads))
         else:
             outputs = [_run_single(p) for p in payloads]
@@ -357,7 +340,7 @@ def _run(cfg: RunConfig) -> tuple[dict, list[ChainOutput]]:
         "tool": "pdclust",
         "version": __version__,
         "numpy": np.__version__,
-        "config": cfg.as_mapping(),
+        "config": cfg,
         "resolved_var_scale": payloads[0][2].var_scale,
         "wbar": dataset.wbar,
         "n_records": dataset.n,
@@ -369,31 +352,31 @@ def _run(cfg: RunConfig) -> tuple[dict, list[ChainOutput]]:
     if fitted:
         manifest["log_shift_values"] = fitted
 
-    multi = cfg.chains > 1
+    multi = cfg["chains"] > 1
     for c, out in enumerate(outputs):
         tag = f"_chain{c}" if multi else ""
         files = _emit_chain_outputs(outdir, tag, out, free_names)
-        info = _emit_selection_outputs(outdir, tag, cfg.selection, cfg.similarity_csv,
+        info = _emit_selection_outputs(outdir, tag, cfg["selection"], cfg["similarity_csv"],
                                        out.partitions, dataset, schema)
         info["files"].update(files)
         info["seed"] = seeds[c]
         info["runtime_seconds"] = out.runtime_seconds
         manifest["chains"].append(info)
 
-    if cfg.pool and multi:
+    if cfg["pool"] and multi:
         pooled = np.vstack([out.partitions for out in outputs])
-        manifest["pooled"] = _emit_selection_outputs(outdir, "_pooled", cfg.selection,
-                                                     cfg.similarity_csv, pooled,
+        manifest["pooled"] = _emit_selection_outputs(outdir, "_pooled", cfg["selection"],
+                                                     cfg["similarity_csv"], pooled,
                                                      dataset, schema)
 
     manifest["runtime_seconds"] = time.perf_counter() - t0
     return manifest, outputs
 
 
-def run_command(cfg: RunConfig) -> dict:
+def run_command(cfg: dict) -> dict:
     """Execute chains and write all outputs; returns the manifest mapping."""
     manifest, _ = _run(cfg)
-    (Path(cfg.out) / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (Path(cfg["out"]) / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 
@@ -549,34 +532,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="cluster a CSV dataset")
     run_p.add_argument("--config", help="JSON config file")
-    run_p.add_argument("--data")
-    run_p.add_argument("--schema")
-    run_p.add_argument("--out")
-    run_p.add_argument("--iterations", type=int)
-    run_p.add_argument("--burnin", type=int)
-    run_p.add_argument("--thinning", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--chains", type=int)
-    run_p.add_argument("--workers", type=int)
-    run_p.add_argument("--weight-mode", dest="weight_mode",
-                       choices=["ignore", "design"])
-    run_p.add_argument("--var-scale", dest="var_scale",
-                       help="number, 'wbar', '<k>*wbar' or 'wbar/<k>'")
-    run_p.add_argument("--preset", choices=["A", "B", "C", "custom"])
-    for name in _CONSTANTS:
-        default = _CONFIG_DEFAULTS[name]
-        run_p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
-                           help="default: " + ("from --preset" if default is None
-                                               else str(default)))
-    run_p.add_argument("--selection", choices=SELECTIONS)
-    run_p.add_argument("--pool", action="store_const", const=True, dest="pool")
-    run_p.add_argument("--similarity-csv", action="store_const", const=True,
-                       dest="similarity_csv")
+    for key, default in _CONFIG_DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            run_p.add_argument(flag, dest=key, action="store_const", const=True)
+        elif key in _CONSTANTS:
+            run_p.add_argument(flag, dest=key, type=float, help="default: " + (
+                "from --preset" if default is None else str(default)))
+        else:
+            run_p.add_argument(flag, dest=key, type=str if default is None else type(default),
+                               choices=_CHOICES.get(key), help=_HELP.get(key))
 
     bench_p = sub.add_parser("bench", help="run a benchmark scenario")
     bench_p.add_argument("--scenario", required=True,
                          choices=list(STUDY1 + STUDY2))
-    bench_p.add_argument("--preset", default=None, choices=["A", "B", "C"])
+    bench_p.add_argument("--preset", default="C", choices=list(PRESETS))
     bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument("--out", required=True)
     bench_p.add_argument("--iterations", type=int)
@@ -601,14 +571,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.verb == "run":
-            cfg = _layered_config(args)
-            run_command(cfg)
+            run_command(_layered_config(args))
             return EXIT_OK
         if args.verb == "bench":
             overrides = {k: getattr(args, k) for k in ("iterations", "burnin", "thinning")
                          if getattr(args, k) is not None}
-            preset = args.preset or "C"
-            bench_command(args.scenario, preset, args.seed, args.out, overrides)
+            bench_command(args.scenario, args.preset, args.seed, args.out, overrides)
             return EXIT_OK
         if args.verb == "summarize":
             result = summarize_command(args.run_dir, args.selection)

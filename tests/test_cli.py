@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -15,7 +16,8 @@ import pdclust.dataio
 import pdclust.postproc
 from pdclust.cli import (CliError, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, PRESETS,
                          bench_command, main, resolve_var_scale, run_command,
-                         summarize_command, _build_run_config, _load_inputs, _read_config)
+                         summarize_command, _CONFIG_DEFAULTS, _build_run_config, _load_inputs,
+                         _read_config)
 from pdclust.dataio import (DataFormatError, partitions_digest, read_data_csv,
                             read_schema_file, read_similarity_binary, write_data_csv,
                             write_schema_file, write_similarity_binary,
@@ -236,15 +238,15 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "C"}))
         cfg = _build_run_config(_read_config(path))
-        assert cfg.priors.var_prior_shape == 2.1 and cfg.priors.var_prior_scale == 30.0
-        assert cfg.priors.base_prior_shape == 2.1 and cfg.priors.base_prior_scale == 30.0
+        assert cfg["var_prior_shape"] == 2.1 and cfg["var_prior_scale"] == 30.0
+        assert cfg["base_prior_shape"] == 2.1 and cfg["base_prior_scale"] == 30.0
 
     def test_preset_a_expansion(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "A"}))
         cfg = _build_run_config(_read_config(path))
-        assert (cfg.priors.var_prior_shape, cfg.priors.var_prior_scale,
-                cfg.priors.base_prior_shape, cfg.priors.base_prior_scale) == PRESETS["A"]
+        assert (cfg["var_prior_shape"], cfg["var_prior_scale"],
+                cfg["base_prior_shape"], cfg["base_prior_scale"]) == PRESETS["A"]
 
     def test_custom_requires_all_constants(self):
         with pytest.raises(CliError) as err:
@@ -253,7 +255,7 @@ class TestConfig:
 
     def test_explicit_constants_override_preset(self):
         cfg = _build_run_config({"preset": "C", "var_prior_scale": 99.0})
-        assert cfg.priors.var_prior_scale == 99.0 and cfg.priors.var_prior_shape == 2.1
+        assert cfg["var_prior_scale"] == 99.0 and cfg["var_prior_shape"] == 2.1
 
     def test_burnin_check(self):
         with pytest.raises(CliError):
@@ -301,10 +303,13 @@ class TestConfig:
                              "var_prior_scale": 0.0, "base_prior_shape": 2.0,
                              "base_prior_scale": 2.0}, []),
         ("thinning", {"iterations": 3, "burnin": 1, "thinning": 3}, []),
+        ("pool", {"pool": "false", "chains": 2}, []),
+        ("similarity_csv", {"similarity_csv": "no"}, []),
+        ("var_scale", {"var_scale": True}, []),
     ], ids=["iterations", "chains", "thinning", "seed", "burnin", "discount_zero_prob",
             "strength_step", "base_prior_scale", "corr_window_frac", "var_proposal_shape",
             "strength_shape-flag", "var_prior_shape", "custom-var_prior_scale",
-            "no-kept-draw"])
+            "no-kept-draw", "pool", "similarity_csv", "var_scale-bool"])
     def test_bad_values_exit_one_and_name_the_setting(self, scenario_files, capsys,
                                                       key, settings, flags):
         tmp, _, _ = scenario_files
@@ -325,9 +330,27 @@ class TestConfig:
         args = pdclust.cli.build_parser().parse_args(
             ["run", "--config", str(path), "--preset", "C", "--strength-rate", "3"])
         cfg = pdclust.cli._layered_config(args)
-        assert cfg.preset == "C" and cfg.priors.strength_rate == 3.0
-        assert (cfg.priors.var_prior_shape, cfg.priors.var_prior_scale,
-                cfg.priors.base_prior_shape, cfg.priors.base_prior_scale) == (2.1, 30.0, 2.1, 7.0)
+        assert cfg["preset"] == "C" and cfg["strength_rate"] == 3.0
+        assert (cfg["var_prior_shape"], cfg["var_prior_scale"],
+                cfg["base_prior_shape"], cfg["base_prior_scale"]) == (2.1, 30.0, 2.1, 7.0)
+
+    def test_run_flags_are_the_settings_with_the_types_of_their_defaults(self):
+        parser = pdclust.cli.build_parser()
+        verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a for a in verbs.choices["run"]._actions if a.dest != "help"}
+        assert set(flags) == {*_CONFIG_DEFAULTS, "config"}
+        constants = {f.name for f in dataclasses.fields(PriorConstants)}
+        for key, default in _CONFIG_DEFAULTS.items():
+            flag = flags[key]
+            assert flag.option_strings == ["--" + key.replace("_", "-")]
+            if isinstance(default, bool):
+                assert isinstance(flag, argparse._StoreConstAction) and flag.const is True
+            elif key in constants:
+                assert flag.type is float, key
+            else:
+                assert flag.type is (str if default is None else type(default)), key
+        assert {key for key, flag in flags.items() if flag.choices} == {
+            "weight_mode", "preset", "selection"}
 
     def test_every_constant_is_a_config_key_and_a_flag(self, scenario_files, monkeypatch):
         tmp, _, _ = scenario_files
@@ -498,6 +521,23 @@ class TestVerbs:
         assert code == EXIT_VALIDATION
         assert report.strip() in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_run_exits_two_naming_a_data_file_it_cannot_read(self, scenario_files, capsys):
+        tmp, _, _ = scenario_files
+        code = main(["run", "--data", str(tmp / "nope.csv"), "--schema", str(tmp / "schema.txt"),
+                     "--out", str(tmp / "out"), "--iterations", "20", "--burnin", "4"])
+        assert code == EXIT_VALIDATION
+        assert f"{tmp / 'nope.csv'}: cannot read input" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
+    def test_validate_exits_two_naming_an_input_file_it_cannot_read(self, scenario_files,
+                                                                     capsys):
+        tmp, _, _ = scenario_files
+        for data, schema, unreadable in [(tmp / "data.csv", tmp / "nope.txt", tmp / "nope.txt"),
+                                         (tmp, tmp / "schema.txt", tmp)]:
+            assert main(["validate", "--data", str(data), "--schema", str(schema)]) \
+                == EXIT_VALIDATION
+            assert f"{unreadable}: cannot read input" in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self, capsys):
         assert main(["run", "--no-such-flag"]) == EXIT_USAGE
