@@ -12,12 +12,11 @@ as ``pdclust.<module>.<name>`` and carry no stability promise.
 
 __version__ = "0.1.0"
 
-from .latent import TransformSpec
 from .postproc import (cluster_summary, dahl_select, expand_variables, hm_measure,
                        min_hm_select, similarity)
 from .sampler import SamplerConfig, run_chain
-from .schema import (Dataset, PriorConstants, build_schema, continuous_spec, nominal_spec,
-                     ordinal_spec, validate_dataset)
+from .schema import (Dataset, PriorConstants, TransformSpec, build_schema, continuous_spec,
+                     nominal_spec, ordinal_spec, validate_dataset)
 from .simgen import (ScenarioSpec, gen_study1, gen_study2, scenario_sampler_settings,
                      scenario_variable_specs)
 

@@ -25,7 +25,6 @@ from . import __version__, postproc
 from .dataio import (DataFormatError, partitions_digest, read_data_csv, read_schema_file,
                      read_similarity_binary, write_data_csv, write_schema_file,
                      write_similarity_binary, write_text_output)
-from .latent import fit_transforms
 from .postproc import (cluster_summary, dahl_select, expand_variables, hm_measure,
                        min_hm_select)
 from .sampler import ChainOutput, SamplerConfig, _check_count, run_chain
@@ -318,7 +317,6 @@ def _run(cfg: dict) -> tuple[dict, list[ChainOutput]]:
     report = validate_dataset(dataset, schema)
     if not report.ok:
         raise CliError(EXIT_VALIDATION, str(report))
-    schema = fit_transforms(schema, dataset)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -347,10 +345,11 @@ def _run(cfg: dict) -> tuple[dict, list[ChainOutput]]:
         "chain_seeds": seeds,
         "chains": [],
     }
-    fitted = [v.transform.shift for v in schema.variables
-              if v.transform is not None and v.transform.kind == "log-shift"]
-    if fitted:
-        manifest["log_shift_values"] = fitted
+    shifts = [v.transform.shift(dataset.values[:, schema.input_index[k]])
+              for k, v in enumerate(schema.variables)
+              if v.kind == "continuous" and v.transform.kind == "log-shift"]
+    if shifts:
+        manifest["log_shift_values"] = shifts
 
     multi = cfg["chains"] > 1
     for c, out in enumerate(outputs):

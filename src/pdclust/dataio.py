@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .latent import IDENTITY, LOG_SHIFT, TransformSpec
-from .schema import CONTINUOUS, Dataset, NOMINAL, ORDINAL, VariableSpec
+from .schema import (CONTINUOUS, IDENTITY, LOG_SHIFT, NOMINAL, ORDINAL, Dataset, SchemaError,
+                     TransformSpec, VariableSpec)
 
 #: The similarity file layout, and the version of the matrix it holds: the CLI
 #: reuses a stored matrix whose digest matches, so any change to the bits
@@ -101,12 +101,14 @@ def read_schema_file(path) -> tuple[list[VariableSpec], str | None, list[str]]:
                                           float(opts.get("shift_quantile", 0.01)))
             except ValueError as err:
                 raise DataFormatError(f"{where}: {err}") from None
-            specs.append(VariableSpec(name, CONTINUOUS, (),
-                                      transform if transform.kind == LOG_SHIFT else None))
+            specs.append(VariableSpec(name, CONTINUOUS, (), transform))
         else:
             if "levels" not in opts:
                 raise DataFormatError(f"{where}: {kind} variables need levels=")
-            specs.append(VariableSpec(name, kind, _levels_from(opts["levels"], where)))
+            try:  # VariableSpec checks the level count and that labels are distinct
+                specs.append(VariableSpec(name, kind, _levels_from(opts["levels"], where)))
+            except SchemaError as err:
+                raise DataFormatError(f"{where}: {err}") from None
     if not specs:
         raise DataFormatError(f"{path}: no variables declared")
     return specs, weight_column, skipped
@@ -117,7 +119,7 @@ def write_schema_file(path, specs, weight_column: str | None = None):
     for v in specs:
         if v.kind == CONTINUOUS:
             opts = ""
-            if v.transform is not None and v.transform.kind == LOG_SHIFT:
+            if v.transform.kind == LOG_SHIFT:
                 opts = f" transform=log-shift shift_quantile={v.transform.shift_quantile}"
             lines.append(f"{v.name} continuous{opts}")
         else:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latent import IDENTITY, LatentState, decode_levels
+from .latent import LatentState, decode_levels
 from .pdprocess import urn_weights
 from .sampler import SamplerConfig, _build_states, gibbs_sweep
-from .schema import CONTINUOUS, Dataset, Schema
+from .schema import CONTINUOUS, IDENTITY, Dataset, Schema
 
 
 def _batch_means_se(x: np.ndarray, n_batches: int = 50) -> float:
@@ -62,7 +62,7 @@ def _encode_observed(z: np.ndarray, schema: Schema) -> np.ndarray:
         col = schema.input_index[k]
         if v.kind != CONTINUOUS:
             values[:, col] = decode_levels(z, schema, k)
-        elif v.transform is not None and v.transform.kind != IDENTITY:
+        elif v.transform.kind != IDENTITY:
             raise ValueError("harness supports identity transforms only")
         else:
             values[:, col] = z[:, schema.latent_slice(k).start]
@@ -118,38 +118,31 @@ def _draw_latents(mixture, cov, var_scale, pis, rng):
 
 
 def _harness_stats(schema: Schema, free_idx, cat_var: int | None):
-    names = ["discount", "discount_is_zero", "strength_plus_discount"]
-    if free_idx.size:
-        names += ["log_var_0", "inv_var_0"]
-    for l in range(min(schema.q, 2)):
-        names += [f"log_base_var_{l}"]
-        if l == 0:
-            names += [f"inv_base_var_{l}"]
-    if schema.q == 2:
+    """Names of the tracked statistics and a function of the state returning their values."""
+    free = free_idx.size > 0
+    # each getter takes (mixture, cov, base, hyper, values)
+    table = [
+        ("discount", True, lambda m, c, b, h, x: h.discount),
+        ("discount_is_zero", True, lambda m, c, b, h, x: float(h.discount == 0.0)),
+        ("strength_plus_discount", True, lambda m, c, b, h, x: h.strength + h.discount),
+        ("log_var_0", free, lambda m, c, b, h, x: np.log(c.sdevs[free_idx[0]] ** 2)),
+        ("inv_var_0", free, lambda m, c, b, h, x: 1.0 / c.sdevs[free_idx[0]] ** 2),
+        ("log_base_var_0", True, lambda m, c, b, h, x: np.log(b.base_var[0])),
+        ("inv_base_var_0", True, lambda m, c, b, h, x: 1.0 / b.base_var[0]),
+        ("log_base_var_1", schema.q >= 2, lambda m, c, b, h, x: np.log(b.base_var[1])),
+        ("corr_01", schema.q == 2, lambda m, c, b, h, x: c.corr[0, 1]),
         # the square detects boundary-symmetric biases the mean cannot see
-        names += ["corr_01", "corr_01_sq"]
-    names += ["n_clusters"]
-    if cat_var is not None:
-        names += ["mean_code"]
+        ("corr_01_sq", schema.q == 2, lambda m, c, b, h, x: c.corr[0, 1] ** 2),
+        ("n_clusters", True, lambda m, c, b, h, x: float(m.r)),
+        ("mean_code", cat_var is not None,
+         lambda m, c, b, h, x: float(x[:, schema.input_index[cat_var]].mean())),
+    ]
+    kept = [(name, get) for name, used, get in table if used]
 
     def extract(mixture, cov, base, hyper, values):
-        out = [hyper.discount, float(hyper.discount == 0.0),
-               hyper.strength + hyper.discount]
-        if free_idx.size:
-            v = cov.sdevs[free_idx[0]] ** 2
-            out += [np.log(v), 1.0 / v]
-        for l in range(min(schema.q, 2)):
-            out += [np.log(base.base_var[l])]
-            if l == 0:
-                out += [1.0 / base.base_var[l]]
-        if schema.q == 2:
-            out += [cov.corr[0, 1], cov.corr[0, 1] ** 2]
-        out += [float(mixture.r)]
-        if cat_var is not None:
-            out += [float(values[:, schema.input_index[cat_var]].mean())]
-        return out
+        return [get(mixture, cov, base, hyper, values) for _, get in kept]
 
-    return names, extract
+    return [name for name, _ in kept], extract
 
 
 def geweke_joint_test(schema: Schema, config: SamplerConfig, draws: int,

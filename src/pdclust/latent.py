@@ -1,4 +1,4 @@
-"""Latent-vector maintenance: transforms, decode rules, truncated resampling.
+"""Latent-vector maintenance: start values, decode rules, truncated resampling.
 
 The latent matrix ``z`` must stay consistent with the observed data at all
 times: continuous coordinates are deterministic transforms of the data,
@@ -10,7 +10,7 @@ sign/argmax decode rule.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -19,80 +19,8 @@ from .schema import CONTINUOUS, NOMINAL, ORDINAL, ChainInvariantError, Dataset, 
 
 logger = logging.getLogger(__name__)
 
-IDENTITY = "identity"
-LOG_SHIFT = "log-shift"
-
 #: Standardised distance beyond which a one-sided region counts as "tail".
 _TAIL_Z = 3.0
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    """Normalising transform for a continuous variable.
-
-    ``log-shift`` maps ``y -> log(y + shift)`` where ``shift`` is the
-    empirical quantile of order ``shift_quantile`` of the column, fitted
-    once from the data.
-    """
-
-    kind: str = IDENTITY
-    shift_quantile: float = 0.01
-    shift: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (IDENTITY, LOG_SHIFT):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if not 0.0 < self.shift_quantile < 1.0:
-            raise ValueError("shift quantile must lie in (0, 1)")
-
-    @property
-    def fitted(self) -> bool:
-        return self.kind == IDENTITY or self.shift is not None
-
-    def fit(self, values) -> "TransformSpec":
-        """Realise the shift from a data column (no-op for identity).
-
-        :meth:`apply` raises on the values the shift cannot map, and
-        :func:`~pdclust.schema.validate_dataset` names their records.
-        """
-        if self.kind == IDENTITY:
-            return self
-        shift = float(np.quantile(np.asarray(values, dtype=float), self.shift_quantile))
-        return replace(self, shift=shift)
-
-    def unmapped(self, y) -> np.ndarray:
-        """Mask of the values the fitted transform cannot map, those with y + shift <= 0."""
-        if self.kind == IDENTITY:
-            return np.zeros(np.shape(y), dtype=bool)
-        if self.shift is None:
-            raise ValueError("log-shift transform used before fitting")
-        return np.asarray(y, dtype=float) + self.shift <= 0
-
-    def apply(self, y):
-        if self.kind == IDENTITY:
-            return np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-        if np.any(self.unmapped(y)):
-            raise ValueError("log-shift argument must be positive for all records")
-        out = np.log(np.asarray(y, dtype=float) + self.shift)
-        return out if np.ndim(y) else float(out)
-
-
-def transform_continuous(y, spec: TransformSpec | None):
-    """Apply a continuous variable's transform (``None`` means identity)."""
-    if spec is None:
-        return np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-    return spec.apply(y)
-
-
-def fit_transforms(schema: Schema, dataset: Dataset) -> Schema:
-    """Return a schema whose log-shift transforms are fitted on ``dataset``."""
-    new_vars = []
-    for k, v in enumerate(schema.variables):
-        if v.kind == CONTINUOUS and v.transform is not None and not v.transform.fitted:
-            col = dataset.values[:, schema.input_index[k]]
-            v = replace(v, transform=v.transform.fit(col))
-        new_vars.append(v)
-    return schema.with_variables(new_vars)
 
 
 def decode_ordinal(z, cutoffs) -> np.ndarray:
@@ -229,7 +157,7 @@ class LatentState:
         """Raise ChainInvariantError unless decode reproduces the observed data."""
         for k, v in enumerate(self.schema.variables):
             if v.kind == CONTINUOUS:
-                expect = transform_continuous(self.observed_column(k), v.transform)
+                expect = v.transform.apply(self.observed_column(k))
                 if not np.array_equal(self.z[:, self.schema.latent_slice(k).start], expect):
                     raise ChainInvariantError(f"continuous latent drifted for {v.name}")
             elif not np.array_equal(decode_levels(self.z, self.schema, k),
@@ -250,7 +178,7 @@ def initial_latents(dataset: Dataset, schema: Schema) -> LatentState:
         sl = schema.latent_slice(k)
         col = dataset.values[:, schema.input_index[k]]
         if v.kind == CONTINUOUS:
-            z[:, sl.start] = transform_continuous(col, v.transform)
+            z[:, sl.start] = v.transform.apply(col)
         elif v.kind == ORDINAL:
             cuts = schema.cutoff_array(k)
             lo = cuts[col.astype(int)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import CovarianceState, scatter_matrix, update_correlation, update_variance
-from .latent import LatentState, fit_transforms, initial_latents, resample_latents
+from .latent import LatentState, initial_latents, resample_latents
 from .pdprocess import BaseMeasure, PDHyper, update_base_scales, update_discount, \
     update_strength
 from .schema import ChainInvariantError, Dataset, PriorConstants, Schema, _check_positive
@@ -112,7 +112,6 @@ class ChainOutput:
     trace_var: np.ndarray        # (kept, n_free)
     trace_base_var: np.ndarray   # (kept, q)
     kept: int
-    seed: int
     runtime_seconds: float
 
 
@@ -514,7 +513,6 @@ def init_states(latents: LatentState, schema: Schema, config: SamplerConfig):
 def run_chain(dataset: Dataset, schema: Schema, config: SamplerConfig) -> ChainOutput:
     """Run one chain and return the kept partitions and traces."""
     t0 = time.perf_counter()
-    schema = fit_transforms(schema, dataset)
     pis = effective_pis(dataset, config.weight_mode)
     rng = np.random.default_rng(config.seed)
 
@@ -556,6 +554,5 @@ def run_chain(dataset: Dataset, schema: Schema, config: SamplerConfig) -> ChainO
         trace_var=trace_var,
         trace_base_var=trace_base_var,
         kept=kept,
-        seed=config.seed,
         runtime_seconds=time.perf_counter() - t0,
     )

@@ -10,19 +10,19 @@ its variance pinned to 1 because the data only identify its mean.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .latent import TransformSpec
 
 CONTINUOUS = "continuous"
 ORDINAL = "ordinal"
 NOMINAL = "nominal"
 
 _KIND_RANK = {CONTINUOUS: 0, ORDINAL: 1, NOMINAL: 2}
+
+IDENTITY = "identity"
+LOG_SHIFT = "log-shift"
 
 #: Spacing between consecutive internal cut-offs of an ordinal variable.
 CUTOFF_STEP = 4.0
@@ -76,6 +76,49 @@ class PriorConstants:
 
 
 @dataclass(frozen=True)
+class TransformSpec:
+    """Normalising transform of a continuous variable.
+
+    ``identity`` leaves a column as it is; ``log-shift`` maps a column ``y``
+    to ``log(y + shift)``, where ``shift`` is the empirical quantile of
+    order ``shift_quantile`` of that same column. Every method takes the
+    whole column it transforms.
+    """
+
+    kind: str = IDENTITY
+    shift_quantile: float = 0.01
+
+    def __post_init__(self):
+        if self.kind not in (IDENTITY, LOG_SHIFT):
+            raise ValueError(f"unknown transform kind {self.kind!r}")
+        if not 0.0 < self.shift_quantile < 1.0:
+            raise ValueError("shift quantile must lie in (0, 1)")
+
+    def shift(self, column) -> float:
+        """The log-shift's shift for ``column``: its ``shift_quantile`` quantile."""
+        return float(np.quantile(np.asarray(column, dtype=float), self.shift_quantile))
+
+    def unmapped(self, column) -> np.ndarray:
+        """Mask of the values the transform cannot map, those with y + shift <= 0.
+
+        :func:`validate_dataset` names their records.
+        """
+        column = np.asarray(column, dtype=float)
+        if self.kind == IDENTITY:
+            return np.zeros(column.shape, dtype=bool)
+        return column + self.shift(column) <= 0
+
+    def apply(self, column) -> np.ndarray:
+        column = np.asarray(column, dtype=float)
+        if self.kind == IDENTITY:
+            return column
+        shifted = column + self.shift(column)
+        if np.any(shifted <= 0):
+            raise ValueError("log-shift argument must be positive for all records")
+        return np.log(shifted)
+
+
+@dataclass(frozen=True)
 class VariableSpec:
     """Declaration of one observed variable.
 
@@ -88,15 +131,16 @@ class VariableSpec:
     levels : tuple of str
         Ordered level labels (ordinal) or category labels (nominal); at
         least two, all distinct. Empty for continuous variables.
-    transform : TransformSpec, optional
-        Normalising transform for a continuous variable. ``None`` means
-        identity.
+    transform : TransformSpec or None
+        Normalising transform of a continuous variable; left out, it is the
+        identity ``TransformSpec()``, which the spec then holds. Ordinal and
+        nominal variables take none and hold ``None``.
     """
 
     name: str
     kind: str
     levels: tuple[str, ...] = ()
-    transform: "TransformSpec | None" = None
+    transform: TransformSpec | None = None
 
     def __post_init__(self):
         if self.kind not in _KIND_RANK:
@@ -106,6 +150,8 @@ class VariableSpec:
         if self.kind == CONTINUOUS:
             if self.levels:
                 raise SchemaError(f"{self.name}: continuous variables take no levels")
+            if self.transform is None:
+                object.__setattr__(self, "transform", TransformSpec())
         else:
             if len(self.levels) < 2:
                 raise SchemaError(
@@ -138,7 +184,7 @@ def nominal_spec(name: str, n_levels: int) -> VariableSpec:
     return VariableSpec(name, NOMINAL, tuple(str(i) for i in range(n_levels)))
 
 
-def continuous_spec(name: str, transform: "TransformSpec | None" = None) -> VariableSpec:
+def continuous_spec(name: str, transform: TransformSpec = TransformSpec()) -> VariableSpec:
     return VariableSpec(name, CONTINUOUS, (), transform)
 
 
@@ -195,20 +241,6 @@ class Schema:
         inv = np.empty(self.p, dtype=int)
         inv[np.asarray(self.input_index)] = np.arange(self.p)
         return inv
-
-    def with_variables(self, variables: Sequence[VariableSpec]) -> "Schema":
-        """Copy of this schema with variable specs replaced in place.
-
-        Kinds and level counts must be unchanged; used to attach fitted
-        transforms.
-        """
-        variables = tuple(variables)
-        if len(variables) != self.p:
-            raise SchemaError("variable count mismatch")
-        for old, new in zip(self.variables, variables):
-            if old.kind != new.kind or old.levels != new.levels:
-                raise SchemaError("layout-affecting fields may not change")
-        return replace(self, variables=variables)
 
 
 def build_schema(specs: Sequence[VariableSpec]) -> Schema:
@@ -342,12 +374,11 @@ def validate_dataset(ds: Dataset, schema: Schema) -> ValidationReport:
             finite = np.isfinite(col)
             for i in np.flatnonzero(~finite):
                 errors.append((int(i), v.name, "non-finite value"))
-            if v.transform is not None and finite.all():
-                # the transform as a run fits it on this column
-                spec = v.transform if v.transform.fitted else v.transform.fit(col)
-                for i in np.flatnonzero(spec.unmapped(col)):
-                    errors.append((int(i), v.name, f"log-shift argument {float(col[i])!r} + "
-                                                   f"{spec.shift!r} is not positive"))
+            unmapped = np.flatnonzero(v.transform.unmapped(col)) if finite.all() else []
+            shift = v.transform.shift(col) if len(unmapped) else None
+            for i in unmapped:
+                errors.append((int(i), v.name, f"log-shift argument {float(col[i])!r} + "
+                                               f"{shift!r} is not positive"))
             continue
         not_int = np.abs(col - np.round(col)) > 1e-9
         out_of_range = (col < 0) | (col > v.n_levels - 1)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdclust import (Dataset, ScenarioSpec, build_schema, gen_study1,
+from pdclust import (Dataset, ScenarioSpec, TransformSpec, build_schema, gen_study1,
                      scenario_variable_specs)
 import pdclust.cli
 import pdclust.dataio
@@ -22,7 +22,6 @@ from pdclust.dataio import (DataFormatError, partitions_digest, read_data_csv,
                             read_schema_file, read_similarity_binary, write_data_csv,
                             write_schema_file, write_similarity_binary,
                             write_text_output)
-from pdclust.latent import TransformSpec
 from pdclust.postproc import (cluster_summary, expand_variables, hm_measure, min_hm_select,
                               similarity)
 from pdclust.sampler import PriorConstants
@@ -44,16 +43,18 @@ class TestSchemaFile:
             continuous_spec("inc", TransformSpec(kind="log-shift", shift_quantile=0.05)),
             ordinal_spec("edu", 3),
             nominal_spec("town", 4),
+            continuous_spec("y"),
         ]
         path = tmp_path / "schema.txt"
         write_schema_file(path, specs, weight_column="factor")
         parsed, weight_col, skipped = read_schema_file(path)
         assert weight_col == "factor"
         assert skipped == []
-        assert [v.name for v in parsed] == ["inc", "edu", "town"]
+        assert [v.name for v in parsed] == ["inc", "edu", "town", "y"]
         assert parsed[0].transform.kind == "log-shift"
         assert parsed[0].transform.shift_quantile == 0.05
         assert parsed[1].levels == ("0", "1", "2")
+        assert parsed[3] == continuous_spec("y")
 
     def test_labels_and_comments(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -79,7 +80,10 @@ class TestSchemaFile:
                      "income continuous shift_quantile=abc",
                      "x ordinal levels=2 levels=3",
                      "y continuous transform=log-shift transform=identity",
-                     "a weight"):
+                     "a weight",
+                     "y ordinal levels=0",
+                     "y ordinal levels=1",
+                     "y nominal levels=a,a"):
             path.write_text(f"a continuous\n{line}\n")
             with pytest.raises(DataFormatError) as err:
                 read_schema_file(path)
@@ -409,6 +413,18 @@ class TestRunCommand:
         kept = (30 - 6) // 2
         assert len((out / "partitions.csv").read_text().splitlines()) == kept + 1
 
+    def test_manifest_records_each_log_shift(self, tmp_path):
+        specs = [continuous_spec("income", TransformSpec(kind="log-shift", shift_quantile=0.05)),
+                 continuous_spec("y"), ordinal_spec("feed", 2)]
+        rng = np.random.default_rng(2)
+        values = np.column_stack([rng.lognormal(3.0, 0.5, 30), rng.standard_normal(30),
+                                  rng.integers(0, 2, 30)])
+        write_data_csv(tmp_path / "data.csv", Dataset.from_values(values), specs)
+        write_schema_file(tmp_path / "schema.txt", specs)
+        run_command(small_run_config(tmp_path))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["log_shift_values"] == [np.quantile(values[:, 0], 0.05)]
+
     def test_byte_identical_reruns(self, scenario_files, tmp_path):
         tmp, _, _ = scenario_files
         run_command(small_run_config(tmp, out=str(tmp / "o1")))
@@ -504,7 +520,7 @@ class TestVerbs:
         assert not caught and err == ""
 
     def test_validate_and_run_reject_values_a_log_shift_cannot_map(self, tmp_path, capsys):
-        # the fitted shift of normal(0, 3) values, their 1 % quantile, is negative
+        # the shift of normal(0, 3) values, their 1 % quantile, is negative
         specs = [continuous_spec("income", TransformSpec(kind="log-shift"))]
         income = np.random.default_rng(4).normal(0.0, 3.0, (40, 1))
         write_data_csv(tmp_path / "data.csv", Dataset.from_values(income), specs)

@@ -6,9 +6,8 @@ from scipy.special import ndtr
 from pdclust import (Dataset, PriorConstants, TransformSpec, build_schema, continuous_spec,
                      nominal_spec, ordinal_spec)
 from pdclust.covariance import CovarianceState
-from pdclust.latent import (conditional_moments, decode_levels, decode_ordinal, fit_transforms,
-                            initial_latents, resample_latents, sample_truncated_normal_many,
-                            transform_continuous)
+from pdclust.latent import (conditional_moments, decode_levels, decode_ordinal, initial_latents,
+                            resample_latents, sample_truncated_normal_many)
 from pdclust.sampler import MixtureState
 
 #: Inverse-gamma(2, 2) on the free variances.
@@ -17,40 +16,52 @@ PRIOR_2_2 = PriorConstants(var_prior_shape=2.0, var_prior_scale=2.0)
 
 class TestTransforms:
     def test_identity(self):
-        assert transform_continuous(3.2, None) == 3.2
-        assert transform_continuous(3.2, TransformSpec()) == 3.2
+        column = np.array([3.2, -1.0, 0.0])
+        mapped = TransformSpec().apply(column)
+        assert mapped.dtype == float and np.array_equal(mapped, column)
+        assert not TransformSpec().unmapped(column).any()
 
     def test_log_shift_at_zero(self):
-        spec = TransformSpec(kind="log-shift", shift=1.0)
-        assert spec.apply(0.0) == 0.0
+        # the shift of a constant column is its value, so 0.5 + 0.5 maps to log 1
+        assert np.array_equal(TransformSpec(kind="log-shift").apply(np.full(3, 0.5)),
+                              np.zeros(3))
 
     def test_log_shift_fit_preserves_ranks(self):
         rng = np.random.default_rng(0)
         income = rng.lognormal(8.0, 1.2, size=500)
-        spec = TransformSpec(kind="log-shift", shift_quantile=0.01).fit(income)
-        transformed = spec.apply(income)
+        transformed = TransformSpec(kind="log-shift", shift_quantile=0.01).apply(income)
         assert np.array_equal(np.argsort(income), np.argsort(transformed))
 
     def test_log_shift_rejects_nonpositive(self):
-        spec = TransformSpec(kind="log-shift", shift=0.5)
+        # the 1 % quantile of this column is -0.82, so only -1 maps to a nonpositive value
+        column = np.array([-1.0, 5.0, 6.0, 7.0])
+        spec = TransformSpec(kind="log-shift")
+        assert spec.unmapped(column).tolist() == [True, False, False, False]
         with pytest.raises(ValueError):
-            spec.apply(-1.0)
-
-    def test_unfitted_log_shift_rejected(self):
-        with pytest.raises(ValueError):
-            TransformSpec(kind="log-shift").apply(1.0)
+            spec.apply(column)
 
     def test_bad_quantile(self):
         with pytest.raises(ValueError):
             TransformSpec(kind="log-shift", shift_quantile=1.5)
 
-    def test_fit_transforms_realizes_shift(self):
+    def test_log_shift_shifts_by_the_columns_quantile(self):
+        column = np.arange(1.0, 9.0)
+        spec = TransformSpec(kind="log-shift", shift_quantile=0.25)
+        shift = np.quantile(column, 0.25)
+        assert spec.shift(column) == shift
+        assert np.array_equal(spec.apply(column), np.log(column + shift))
+
+    def test_initial_latents_transform_each_column(self):
         schema = build_schema(
-            [continuous_spec("inc", TransformSpec(kind="log-shift", shift_quantile=0.25))]
+            [continuous_spec("inc", TransformSpec(kind="log-shift", shift_quantile=0.25)),
+             continuous_spec("y")]
         )
-        ds = Dataset.from_values(np.arange(1.0, 9.0)[:, None])
-        fitted = fit_transforms(schema, ds)
-        assert fitted.variables[0].transform.shift == np.quantile(ds.values[:, 0], 0.25)
+        values = np.column_stack([np.arange(1.0, 9.0), np.linspace(-1.0, 1.0, 8)])
+        latents = initial_latents(Dataset.from_values(values), schema)
+        assert np.array_equal(latents.z[:, 0],
+                              np.log(values[:, 0] + np.quantile(values[:, 0], 0.25)))
+        assert np.array_equal(latents.z[:, 1], values[:, 1])
+        latents.check_consistent()
 
 
 def decode_nominal_row(row):

@@ -21,7 +21,7 @@ from pdclust.covariance import (CORR_WINDOW_FRAC, CovarianceState, chol_logdet,
                                 correlation_support, scatter_matrix, update_correlation,
                                 update_variance)
 from pdclust.geweke import _ancestral_draw, geweke_joint_test
-from pdclust.latent import LatentState, fit_transforms, initial_latents, resample_latents
+from pdclust.latent import LatentState, initial_latents, resample_latents
 from pdclust.pdprocess import (BaseMeasure, PDHyper, update_base_scales, update_discount,
                                update_strength)
 from pdclust.sampler import (MixtureState, UrnTables, _location_posterior, URN_BLOCK,
@@ -576,7 +576,7 @@ def scenario_start(scenario, seed):
     """``((latents, mixture, cov, base, hyper), var_scale, pis)`` of a scenario's chain start."""
     spec = ScenarioSpec(scenario, seed=seed)
     dataset, _ = (gen_study1 if scenario in STUDY1 else gen_study2)(spec)
-    schema = fit_transforms(build_schema(scenario_variable_specs(scenario)), dataset)
+    schema = build_schema(scenario_variable_specs(scenario))
     weight_mode, var_scale = scenario_sampler_settings(scenario, dataset.wbar)
     cfg = SamplerConfig(iterations=2, burnin=0, var_scale=var_scale,
                         weight_mode=weight_mode, priors=PRIOR_C)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from pdclust import (Dataset, build_schema, continuous_spec, gen_study1, nominal_spec,
-                     ordinal_spec, scenario_variable_specs, validate_dataset)
-from pdclust.schema import SchemaError, default_cutoffs
+from pdclust import (Dataset, TransformSpec, build_schema, continuous_spec, gen_study1,
+                     nominal_spec, ordinal_spec, scenario_variable_specs, validate_dataset)
+from pdclust.schema import CONTINUOUS, NOMINAL, ORDINAL, SchemaError, VariableSpec, default_cutoffs
 from pdclust.simgen import ScenarioSpec
 
 
@@ -62,6 +62,18 @@ class TestBuildSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
             build_schema([continuous_spec("x"), continuous_spec("x")])
+
+
+class TestVariableSpec:
+    def test_continuous_variable_defaults_to_identity(self):
+        assert VariableSpec("y", CONTINUOUS).transform == TransformSpec()
+        assert continuous_spec("y") == VariableSpec("y", CONTINUOUS)
+
+    @pytest.mark.parametrize("kind", [ORDINAL, NOMINAL])
+    def test_categorical_variable_takes_no_transform(self, kind):
+        assert VariableSpec("c", kind, ("a", "b")).transform is None
+        with pytest.raises(SchemaError):
+            VariableSpec("c", kind, ("a", "b"), TransformSpec())
 
 
 class TestDefaultCutoffs:
